@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .core import (FlowField, Image, Perturbation, PerturbMode, ShapeError,
-                   clip01, joint_l2_norm, scale_bound)
+                   joint_l2_norm, scale_bound)
 from .diffflow import FlowEstimator
 from .optim import LbfgsParams, OptimTrace, lbfgs_minimize
 
@@ -28,7 +28,8 @@ __all__ = [
     "LossKind", "BoxConstraint", "TargetKind", "Target", "PcfaConfig",
     "AttackResult", "loss_aee", "loss_mse", "loss_cs", "loss_with_grad",
     "penalty_value_grad", "apply_cov", "cov_init", "default_mu",
-    "build_problem", "pcfa_attack", "ifgsm_attack",
+    "Parametrization", "PenalizedObjective", "build_problem", "pcfa_attack",
+    "ifgsm_attack",
 ]
 
 AEE_SMOOTHING = 1e-9   # keeps the endpoint norm differentiable; value error <= 1e-9
@@ -294,25 +295,133 @@ def _as_image(frame) -> Image:
     return frame if isinstance(frame, Image) else Image(np.asarray(frame))
 
 
-@dataclass
-class PcfaProblem:
-    """The penalized objective over flat variables, ready for the optimizer.
+@dataclass(frozen=True)
+class Parametrization:
+    """How the flat optimizer variable x becomes a perturbed frame pair,
+    for one box treatment and one perturbation mode.
 
-    `fun` maps the flat variable vector to (value, gradient); `unpack`
-    recovers (delta1, delta2, perturbed1, perturbed2) arrays from it.
-    box_min/box_max record the extreme perturbed pixel values seen across
-    every objective evaluation, so box exactness is checkable per iterate.
+    `realized` says what the penalty measures. A frame-specific disjoint
+    attack (every change-of-variables one is disjoint) is penalized on
+    the distortion p - i that survives the box, so the penalty gradient
+    is pulled back through the box with the loss gradient. A joint or
+    universal field is penalized raw: one penalty on x itself, added
+    after the loss gradient has been pulled back.
     """
 
-    fun: callable
-    x0: np.ndarray
-    unpack: callable
-    flow_init: FlowField
-    target: np.ndarray
+    box: BoxConstraint
+    mode: PerturbMode
+    realized: bool
+
+    def start(self, i1, i2) -> np.ndarray:
+        """Zero distortion: the tanh auxiliaries of the frames under the
+        change of variables, otherwise a zero field."""
+        if self.box == BoxConstraint.COV:
+            return np.concatenate([cov_init(i1).ravel(), cov_init(i2).ravel()])
+        return np.zeros(i1.size if self.mode == PerturbMode.JOINT else 2 * i1.size)
+
+    def fields(self, x, shape):
+        """The two per-frame views of x (one shared field when joint)."""
+        if self.mode == PerturbMode.JOINT:
+            d = x.reshape(shape)
+            return d, d
+        size = x.size // 2
+        return x[:size].reshape(shape), x[size:].reshape(shape)
+
+    def apply(self, x, i1, i2):
+        """(d1, d2, p1, p2): the penalized fields and the perturbed frames."""
+        w1, w2 = self.fields(x, i1.shape)
+        if self.box == BoxConstraint.COV:
+            d1, p1 = apply_cov(w1, i1)
+            d2, p2 = apply_cov(w2, i2)
+            return d1, d2, p1, p2
+        p1 = np.clip(i1 + w1, 0.0, 1.0)
+        p2 = np.clip(i2 + w2, 0.0, 1.0)
+        if self.realized:
+            return p1 - i1, p2 - i2, p1, p2
+        return w1, w2, p1, p2
+
+    def pullback(self, x, i1, i2, gp1, gp2) -> np.ndarray:
+        """Gradient w.r.t. x from gradients w.r.t. the perturbed frames."""
+        w1, w2 = self.fields(x, i1.shape)
+        if self.box == BoxConstraint.COV:
+            return self.gather(_cov_deriv(w1) * gp1, _cov_deriv(w2) * gp2)
+        m1 = (i1 + w1 >= 0.0) & (i1 + w1 <= 1.0)
+        m2 = (i2 + w2 >= 0.0) & (i2 + w2 <= 1.0)
+        return self.gather(m1 * gp1, m2 * gp2)
+
+    def gather(self, g1, g2) -> np.ndarray:
+        """Adjoint of `fields`: a shared field collects both frames' parts."""
+        if self.mode == PerturbMode.JOINT:
+            return (g1 + g2).ravel()
+        return np.concatenate([g1.ravel(), g2.ravel()])
+
+
+@dataclass
+class PenalizedObjective:
+    """x -> (value, gradient) of the mean flow loss over a list of
+    (frame1, frame2, target) arrays plus the exact penalty on the
+    perturbation.
+
+    A frame-specific attack is the one-pair case. box_min/box_max record
+    the extreme perturbed pixel values seen across every evaluation, so
+    box exactness is checkable per iterate.
+    """
+
+    estimator: FlowEstimator
+    param: Parametrization
+    pairs: list
+    loss: LossKind
     eps_hat: float
     mu: float
     box_min: float = math.inf
     box_max: float = -math.inf
+
+    def _penalty(self, d1, d2):
+        pval, gpen = penalty_value_grad(
+            np.concatenate([d1.ravel(), d2.ravel()]), self.eps_hat, self.mu)
+        g = gpen.reshape((2,) + d1.shape)
+        return pval, g[0], g[1]
+
+    def __call__(self, x):
+        param = self.param
+        grad_fn = _LOSS_GRADS[self.loss]
+        total = 0.0
+        gx = np.zeros_like(x)
+        for i1, i2, target in self.pairs:
+            d1, d2, p1, p2 = param.apply(x, i1, i2)
+            self.box_min = min(self.box_min, float(p1.min()), float(p2.min()))
+            self.box_max = max(self.box_max, float(p1.max()), float(p2.max()))
+            flow, vjp = self.estimator.value_and_vjp(p1, p2)
+            lval, gflow = grad_fn(flow, target)
+            gp1, gp2 = vjp(gflow)
+            if param.realized:
+                pval, g1, g2 = self._penalty(d1, d2)
+                lval += pval
+                gp1, gp2 = gp1 + g1, gp2 + g2
+            total += lval
+            gx += param.pullback(x, i1, i2, gp1, gp2)
+        total /= len(self.pairs)
+        gx /= len(self.pairs)
+        if not param.realized:
+            pval, g1, g2 = self._penalty(*param.fields(x, self.pairs[0][0].shape))
+            total += pval
+            gx += param.gather(g1, g2)
+        return total, gx
+
+
+@dataclass
+class PcfaProblem:
+    """The penalized objective over flat variables, ready for the optimizer.
+
+    `fun` maps the flat variable vector to (value, gradient) and records
+    the box extremes; `fun.param.apply` recovers (delta1, delta2,
+    perturbed1, perturbed2) arrays from it.
+    """
+
+    fun: PenalizedObjective
+    x0: np.ndarray
+    flow_init: FlowField
+    target: np.ndarray
 
 
 def build_problem(estimator: FlowEstimator, frame1, frame2,
@@ -323,99 +432,43 @@ def build_problem(estimator: FlowEstimator, frame1, frame2,
         raise ShapeError(f"frame shapes differ: {img1.data.shape} vs {img2.data.shape}")
     i1 = img1.data
     i2 = img2.data
-    shape = i1.shape
     flow_init = estimator.estimate_flow(img1, img2)
     target = cfg.target.resolve(flow_init.data)
     eps_hat = scale_bound(cfg.epsilon2, img1.pixels, img1.channels)
     mu = cfg.mu if cfg.mu is not None else default_mu(cfg.loss, cfg.target.kind,
                                                       cfg.epsilon2)
-    grad_fn = _LOSS_GRADS[cfg.loss]
-    size = i1.size
-
-    if cfg.box == BoxConstraint.COV:
-        def unpack(x):
-            w1 = x[:size].reshape(shape)
-            w2 = x[size:].reshape(shape)
-            d1, p1 = apply_cov(w1, i1)
-            d2, p2 = apply_cov(w2, i2)
-            return d1, d2, p1, p2
-        x0 = np.concatenate([cov_init(i1).ravel(), cov_init(i2).ravel()])
-    elif cfg.mode == PerturbMode.DISJOINT:
-        def unpack(x):
-            raw1 = i1 + x[:size].reshape(shape)
-            raw2 = i2 + x[size:].reshape(shape)
-            p1 = np.clip(raw1, 0.0, 1.0)
-            p2 = np.clip(raw2, 0.0, 1.0)
-            return p1 - i1, p2 - i2, p1, p2
-        x0 = np.zeros(2 * size)
-    else:
-        def unpack(x):
-            d = x.reshape(shape)
-            p1 = np.clip(i1 + d, 0.0, 1.0)
-            p2 = np.clip(i2 + d, 0.0, 1.0)
-            return d, d, p1, p2
-        x0 = np.zeros(size)
-
-    problem = PcfaProblem(fun=None, x0=x0, unpack=unpack, flow_init=flow_init,
-                          target=target, eps_hat=eps_hat, mu=mu)
-
-    def fun(x):
-        d1, d2, p1, p2 = unpack(x)
-        problem.box_min = min(problem.box_min, float(p1.min()), float(p2.min()))
-        problem.box_max = max(problem.box_max, float(p1.max()), float(p2.max()))
-        flow, vjp = estimator.value_and_vjp(p1, p2)
-        lval, gflow = grad_fn(flow, target)
-        gp1, gp2 = vjp(gflow)
-        delta_hat = np.concatenate([d1.ravel(), d2.ravel()])
-        pval, gpen = penalty_value_grad(delta_hat, eps_hat, mu)
-        gd1 = gp1 + gpen[:size].reshape(shape)
-        gd2 = gp2 + gpen[size:].reshape(shape)
-        if cfg.box == BoxConstraint.COV:
-            w1 = x[:size].reshape(shape)
-            w2 = x[size:].reshape(shape)
-            gx = np.concatenate([(_cov_deriv(w1) * gd1).ravel(),
-                                 (_cov_deriv(w2) * gd2).ravel()])
-        elif cfg.mode == PerturbMode.DISJOINT:
-            m1 = (i1 + x[:size].reshape(shape) >= 0.0) & (i1 + x[:size].reshape(shape) <= 1.0)
-            m2 = (i2 + x[size:].reshape(shape) >= 0.0) & (i2 + x[size:].reshape(shape) <= 1.0)
-            gx = np.concatenate([(m1 * gd1).ravel(), (m2 * gd2).ravel()])
-        else:
-            d = x.reshape(shape)
-            m1 = (i1 + d >= 0.0) & (i1 + d <= 1.0)
-            m2 = (i2 + d >= 0.0) & (i2 + d <= 1.0)
-            # joint variable feeds both frames and both penalty halves
-            gx = (m1 * gp1 + m2 * gp2
-                  + gpen[:size].reshape(shape) + gpen[size:].reshape(shape)).ravel()
-        return lval + pval, gx
-
-    problem.fun = fun
-    return problem
+    param = Parametrization(cfg.box, cfg.mode,
+                            realized=cfg.mode == PerturbMode.DISJOINT)
+    fun = PenalizedObjective(estimator, param, [(i1, i2, target)], cfg.loss,
+                             eps_hat, mu)
+    return PcfaProblem(fun=fun, x0=param.start(i1, i2), flow_init=flow_init,
+                       target=target)
 
 
-def _result_from_final(estimator, problem, cfg_mode, x, trace, mu, eps_hat,
-                       flow_init) -> AttackResult:
-    d1, d2, p1, p2 = problem.unpack(x)
+def _attack_result(estimator, mode: PerturbMode, d1, d2, p1, p2,
+                   flow_init: FlowField, trace: OptimTrace, box_seen,
+                   eps_hat=None, mu=None) -> AttackResult:
+    """Package final fields and frames; re-estimates the adversarial flow."""
     adv1 = Image(p1)
     adv2 = Image(p2)
-    if cfg_mode == PerturbMode.JOINT:
+    if mode == PerturbMode.JOINT:
         pert = Perturbation(PerturbMode.JOINT, d1)
     else:
         pert = Perturbation(PerturbMode.DISJOINT, d1, d2)
-    flow_adv = estimator.estimate_flow(adv1, adv2)
     return AttackResult(
         perturbation=pert,
         frame1_adv=adv1,
         frame2_adv=adv2,
         flow_init=flow_init,
-        flow_adv=flow_adv,
+        flow_adv=estimator.estimate_flow(adv1, adv2),
         trace=trace,
         l2_norm=joint_l2_norm(pert),
         linf_norm=float(max(np.abs(pert.first).max(),
                             np.abs(pert.second).max() if pert.second is not None else 0.0)),
         eps_hat=eps_hat,
         mu=mu,
-        box_min_seen=problem.box_min,
-        box_max_seen=problem.box_max,
+        box_min_seen=box_seen[0],
+        box_max_seen=box_seen[1],
     )
 
 
@@ -429,10 +482,13 @@ def pcfa_attack(estimator: FlowEstimator, frame1, frame2,
     optimizer trace.
     """
     problem = build_problem(estimator, frame1, frame2, cfg)
+    fun = problem.fun
     params = LbfgsParams(max_steps=cfg.steps)
-    x, trace = lbfgs_minimize(problem.fun, problem.x0, params)
-    return _result_from_final(estimator, problem, cfg.mode, x, trace,
-                              problem.mu, problem.eps_hat, problem.flow_init)
+    x, trace = lbfgs_minimize(fun, problem.x0, params)
+    i1, i2, _ = fun.pairs[0]
+    return _attack_result(estimator, cfg.mode, *fun.param.apply(x, i1, i2),
+                          problem.flow_init, trace, (fun.box_min, fun.box_max),
+                          fun.eps_hat, fun.mu)
 
 
 def ifgsm_attack(estimator: FlowEstimator, frame1, frame2, eps_inf: float,
@@ -459,8 +515,6 @@ def ifgsm_attack(estimator: FlowEstimator, frame1, frame2, eps_inf: float,
     tgt = target.resolve(flow_init.data)
     grad_fn = _LOSS_GRADS[LossKind(loss)]
     step = eps_inf / steps
-    d1 = np.zeros_like(i1)
-    d2 = np.zeros_like(i2)
     trace = OptimTrace()
     p1, p2 = i1, i2
     for n in range(steps):
@@ -476,23 +530,7 @@ def ifgsm_attack(estimator: FlowEstimator, frame1, frame2, eps_inf: float,
         trace.values.append(lval)
         trace.grad_norms.append(float(np.sqrt(np.sum(g1 * g1) + np.sum(g2 * g2))))
         trace.step_lengths.append(step)
-    d1 = p1 - i1
-    d2 = p2 - i2
-    adv1 = Image(p1)
-    adv2 = Image(p2)
-    pert = Perturbation(PerturbMode.DISJOINT, d1, d2)
-    flow_adv = estimator.estimate_flow(adv1, adv2)
-    return AttackResult(
-        perturbation=pert,
-        frame1_adv=adv1,
-        frame2_adv=adv2,
-        flow_init=flow_init,
-        flow_adv=flow_adv,
-        trace=trace,
-        l2_norm=joint_l2_norm(pert),
-        linf_norm=float(max(np.abs(d1).max(), np.abs(d2).max())),
-        eps_hat=None,
-        mu=None,
-        box_min_seen=float(min(p1.min(), p2.min())),
-        box_max_seen=float(max(p1.max(), p2.max())),
-    )
+    return _attack_result(estimator, PerturbMode.DISJOINT, p1 - i1, p2 - i2,
+                          p1, p2, flow_init, trace,
+                          (float(min(p1.min(), p2.min())),
+                           float(max(p1.max(), p2.max()))))

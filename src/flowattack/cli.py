@@ -136,6 +136,25 @@ def _build_attack_config(section: dict[str, str], seed: int) -> PcfaConfig:
         raise UsageError(str(exc)) from None
 
 
+def _resolved_config(config: dict, estimator: FlowEstimator, cfg: PcfaConfig,
+                     **attack_keys: str) -> dict[str, dict[str, str]]:
+    """`config` with its [attack] and [estimator] sections replaced by the
+    values the run actually uses, defaults included."""
+    resolved = dict(config)
+    resolved["attack"] = {
+        "eps2": repr(cfg.epsilon2),
+        "mu": "auto" if cfg.mu is None else repr(cfg.mu),
+        "loss": cfg.loss.value, "target": cfg.target.kind.value,
+        "box": cfg.box.value, "mode": cfg.mode.value, **attack_keys,
+    }
+    resolved["estimator"] = {"label": estimator.label,
+                             "alpha": repr(estimator.config.alpha),
+                             "iterations": str(estimator.config.iterations),
+                             "levels": str(estimator.config.pyramid_levels),
+                             "warp": str(estimator.config.warp).lower()}
+    return resolved
+
+
 def _merge_cli(config: dict, args, section: str, keys: dict[str, str]):
     target = config.setdefault(section, {})
     for attr, key in keys.items():
@@ -261,19 +280,8 @@ def cmd_attack(args) -> int:
         lines = [_attack_one(p) for p in payloads]
     flowio.atomic_write_bytes(out_dir / "report.jsonl",
                               ("\n".join(lines) + "\n").encode())
-    resolved = dict(config)
-    resolved["attack"] = {
-        "method": method, "eps2": repr(cfg.epsilon2),
-        "mu": "auto" if cfg.mu is None else repr(cfg.mu),
-        "loss": cfg.loss.value, "target": cfg.target.kind.value,
-        "box": cfg.box.value, "mode": cfg.mode.value, "steps": str(cfg.steps),
-    }
-    resolved["estimator"] = {"label": estimator.label,
-                             "alpha": repr(estimator.config.alpha),
-                             "iterations": str(estimator.config.iterations),
-                             "levels": str(estimator.config.pyramid_levels),
-                             "warp": str(estimator.config.warp).lower()}
-    _echo_config(out_dir, resolved)
+    _echo_config(out_dir, _resolved_config(config, estimator, cfg, method=method,
+                                           steps=str(cfg.steps)))
     for line in lines:
         print(line)
     return 0
@@ -283,21 +291,17 @@ def cmd_universal(args) -> int:
     config = _load_config(args.config) if args.config else {}
     _merge_cli(config, args, "attack",
                {"eps2": "eps2", "mu": "mu", "loss": "loss", "target": "target",
-                "target_file": "target_file", "mode": "mode", "steps": "steps"})
+                "target_file": "target_file", "mode": "mode"})
     _merge_cli(config, args, "universal",
-               {"epochs": "epochs", "batch_size": "batch_size"})
+               {"epochs": "epochs", "batch_size": "batch_size",
+                "steps": "steps_per_batch"})
     estimator = _build_estimator(config.get("estimator", {}))
     atk_section = dict(config.get("attack", {}))
     atk_section["box"] = "clipping"
     cfg = _build_attack_config(atk_section, args.seed)
-    uni_section = config.get("universal", {})
     try:
-        ucfg = UniversalTrainConfig(
-            attack=cfg,
-            epochs=int(uni_section.get("epochs", 25)),
-            batch_size=int(uni_section.get("batch_size", 4)),
-            steps_per_batch=int(uni_section.get("steps_per_batch", 1)),
-        )
+        ucfg = UniversalTrainConfig(attack=cfg, **{
+            k: int(v) for k, v in config.get("universal", {}).items()})
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -330,7 +334,9 @@ def cmd_universal(args) -> int:
     }
     line = json.dumps(summary, sort_keys=False, separators=(",", ":"))
     flowio.atomic_write_bytes(out_dir / "summary.json", (line + "\n").encode())
-    _echo_config(out_dir, config)
+    resolved = _resolved_config(config, estimator, cfg)
+    resolved["universal"] = {k: str(getattr(ucfg, k)) for k in _SCHEMA["universal"]}
+    _echo_config(out_dir, resolved)
     print(line)
     return 0
 
@@ -482,7 +488,8 @@ def _build_parser() -> _Parser:
     p_uni.add_argument("--target", choices=[t.value for t in TargetKind])
     p_uni.add_argument("--target-file", dest="target_file")
     p_uni.add_argument("--mode", choices=[m.value for m in PerturbMode])
-    p_uni.add_argument("--steps", type=int)
+    p_uni.add_argument("--steps", type=int,
+                       help="optimizer steps per minibatch")
     p_uni.add_argument("--epochs", type=int)
     p_uni.add_argument("--batch-size", dest="batch_size", type=int)
     p_uni.set_defaults(func=cmd_universal)

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FlowField, Perturbation, ShapeError
+from .attack import _flow_pair
+from .core import Perturbation, ShapeError
 from .diffflow import FlowEstimator
 from .universal import DatasetManifest, apply_universal
 
@@ -32,29 +33,21 @@ def _endpoint_mean(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.mean(np.sqrt(d[0] ** 2 + d[1] ** 2)))
 
 
-def _pair(fa, fb):
-    a = fa.data if isinstance(fa, FlowField) else np.asarray(fa, dtype=np.float64)
-    b = fb.data if isinstance(fb, FlowField) else np.asarray(fb, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ShapeError(f"flow shapes differ: {a.shape} vs {b.shape}")
-    return a, b
-
-
 def attack_strength(flow_adv, target) -> float:
     """Exact mean endpoint distance to the target; smaller = stronger."""
-    return _endpoint_mean(*_pair(flow_adv, target))
+    return _endpoint_mean(*_flow_pair(flow_adv, target))
 
 
 def adversarial_robustness(flow_adv, flow_init) -> float:
     """Exact mean endpoint distance to the unattacked flow; smaller = more
     robust. Deliberately independent of the attack target."""
-    return _endpoint_mean(*_pair(flow_adv, flow_init))
+    return _endpoint_mean(*_flow_pair(flow_adv, flow_init))
 
 
 def masked_aee(flow, reference, mask: np.ndarray) -> float:
     """Mean endpoint distance over valid-mask pixels only (for sparse
     ground truth). Raises if the mask selects nothing."""
-    a, b = _pair(flow, reference)
+    a, b = _flow_pair(flow, reference)
     m = np.asarray(mask, dtype=bool)
     if m.shape != a.shape[1:]:
         raise ShapeError(f"mask shape {m.shape} != grid {a.shape[1:]}")

@@ -10,6 +10,7 @@ little-endian on disk where a choice exists, regardless of host.
 
 from __future__ import annotations
 
+import io
 import os
 import struct
 import zlib
@@ -370,9 +371,9 @@ def write_perturbation(path, p: Perturbation):
     arrays = {"mode": np.array(p.mode.value), "first": p.first}
     if p.second is not None:
         arrays["second"] = p.second
-    with open(os.fspath(path) + ".tmp", "wb") as fh:
-        np.savez(fh, **arrays)
-    os.replace(os.fspath(path) + ".tmp", path)
+    buf = io.BytesIO()
+    np.savez(buf, **arrays)
+    atomic_write_bytes(path, buf.getvalue())
 
 
 def read_perturbation(path) -> Perturbation:

@@ -15,8 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import io as flowio
-from .attack import BoxConstraint, PcfaConfig, TargetKind, default_mu, \
-    penalty_value_grad, _LOSS_GRADS
+from .attack import BoxConstraint, Parametrization, PcfaConfig, \
+    PenalizedObjective, TargetKind, default_mu
+# unused here; bench/spans.py patches this name and fails without it
+from .attack import penalty_value_grad  # noqa: F401
 from .core import FlowField, Image, Perturbation, PerturbMode, ShapeError, \
     clip01, scale_bound
 from .diffflow import FlowEstimator
@@ -135,13 +137,11 @@ def train_universal(estimator: FlowEstimator, data: DatasetManifest,
     pairs = data.load_pairs()
     atk = cfg.attack
     shape = pairs[0][0].data.shape
-    size = int(np.prod(shape))
     channels, height, width = shape
     eps_hat = scale_bound(atk.epsilon2, height * width, channels)
     mu = atk.mu if atk.mu is not None else default_mu(atk.loss, atk.target.kind,
                                                       atk.epsilon2)
-    grad_fn = _LOSS_GRADS[atk.loss]
-    joint = atk.mode == PerturbMode.JOINT
+    param = Parametrization(BoxConstraint.CLIPPING, atk.mode, realized=False)
 
     targets: dict[int, np.ndarray] = {}
 
@@ -155,58 +155,18 @@ def train_universal(estimator: FlowEstimator, data: DatasetManifest,
             targets[idx] = tgt
         return targets[idx]
 
-    def batch_objective(batch_idx):
-        def fun(x):
-            if joint:
-                d = x.reshape(shape)
-                delta_hat = np.concatenate([x, x])
-            else:
-                d = None
-                delta_hat = x
-            total = 0.0
-            gx = np.zeros_like(x)
-            for idx in batch_idx:
-                f1 = pairs[idx][0].data
-                f2 = pairs[idx][1].data
-                if joint:
-                    raw1, raw2 = f1 + d, f2 + d
-                else:
-                    raw1 = f1 + x[:size].reshape(shape)
-                    raw2 = f2 + x[size:].reshape(shape)
-                p1 = np.clip(raw1, 0.0, 1.0)
-                p2 = np.clip(raw2, 0.0, 1.0)
-                flow, vjp = estimator.value_and_vjp(p1, p2)
-                lval, gflow = grad_fn(flow, target_for(idx))
-                gp1, gp2 = vjp(gflow)
-                gp1 = gp1 * ((raw1 >= 0.0) & (raw1 <= 1.0))
-                gp2 = gp2 * ((raw2 >= 0.0) & (raw2 <= 1.0))
-                total += lval
-                if joint:
-                    gx += (gp1 + gp2).ravel()
-                else:
-                    gx += np.concatenate([gp1.ravel(), gp2.ravel()])
-            n = len(batch_idx)
-            total /= n
-            gx /= n
-            pval, gpen = penalty_value_grad(delta_hat, eps_hat, mu)
-            if joint:
-                gx += gpen[:size] + gpen[size:]
-            else:
-                gx += gpen
-            return total + pval, gx
-        return fun
-
-    x = np.zeros(size if joint else 2 * size)
+    x = param.start(pairs[0][0].data, pairs[0][1].data)
     rng = np.random.default_rng(atk.seed)
     params = LbfgsParams(max_steps=cfg.steps_per_batch)
     n = len(pairs)
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
-            batch = [int(i) for i in order[start:start + cfg.batch_size]]
-            x, _ = lbfgs_minimize(batch_objective(batch), x, params)
+            batch = [(pairs[i][0].data, pairs[i][1].data, target_for(int(i)))
+                     for i in order[start:start + cfg.batch_size]]
+            x, _ = lbfgs_minimize(PenalizedObjective(
+                estimator, param, batch, atk.loss, eps_hat, mu), x, params)
 
-    if joint:
+    if atk.mode == PerturbMode.JOINT:
         return Perturbation(PerturbMode.JOINT, x.reshape(shape))
-    return Perturbation(PerturbMode.DISJOINT, x[:size].reshape(shape),
-                        x[size:].reshape(shape))
+    return Perturbation(PerturbMode.DISJOINT, *param.fields(x, shape))

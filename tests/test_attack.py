@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from flowattack.attack import (BoxConstraint, LossKind, PcfaConfig, Target,
+from flowattack.attack import (BoxConstraint, LossKind, Parametrization,
+                               PcfaConfig, PenalizedObjective, Target,
                                TargetKind, apply_cov, build_problem, cov_init,
                                default_mu, ifgsm_attack, loss_aee, loss_cs,
                                loss_mse, loss_with_grad, pcfa_attack,
@@ -219,22 +220,44 @@ class TestPcfaAttack:
         combos = [(BoxConstraint.CLIPPING, PerturbMode.DISJOINT),
                   (BoxConstraint.CLIPPING, PerturbMode.JOINT),
                   (BoxConstraint.COV, PerturbMode.DISJOINT)]
+
+        def target_for(loss):
+            return (Target.negative_initial() if loss == LossKind.CS
+                    else Target.zero())
+
+        objectives = []
         for loss in LossKind:
             for box, mode in combos:
-                target = (Target.negative_initial() if loss == LossKind.CS
-                          else Target.zero())
                 cfg = PcfaConfig(epsilon2=5e-3, loss=loss, box=box, mode=mode,
-                                 target=target)
+                                 target=target_for(loss))
                 problem = build_problem(fast_estimator, f1, f2, cfg)
-                x = problem.x0 + rng.normal(0, 1e-3, problem.x0.shape)
-                _, grad = problem.fun(x)
-                direction = rng.normal(size=x.shape)
-                direction /= np.linalg.norm(direction)
-                h = 1e-6
-                fp, _ = problem.fun(x + h * direction)
-                fm, _ = problem.fun(x - h * direction)
-                fd = (fp - fm) / (2 * h)
-                assert float(direction @ grad) == pytest.approx(fd, rel=1e-4)
+                objectives.append((problem.fun, problem.x0))
+        # the universal objective: raw fields shared by a batch of two pairs,
+        # with a bound small enough that the penalty is active
+        batch = []
+        for seed in (22, 23):
+            a, b, _ = make_pair(seed, 16, 16)
+            flow = fast_estimator.estimate_flow(a, b).data
+            batch.append((a.data, b.data, flow))
+        for loss in LossKind:
+            pairs = [(a, b, target_for(loss).resolve(flow))
+                     for a, b, flow in batch]
+            for mode in PerturbMode:
+                param = Parametrization(BoxConstraint.CLIPPING, mode,
+                                        realized=False)
+                fun = PenalizedObjective(fast_estimator, param, pairs, loss,
+                                         eps_hat=1e-2, mu=1.0)
+                objectives.append((fun, param.start(*pairs[0][:2])))
+        for fun, x0 in objectives:
+            x = x0 + rng.normal(0, 1e-3, x0.shape)
+            _, grad = fun(x)
+            direction = rng.normal(size=x.shape)
+            direction /= np.linalg.norm(direction)
+            h = 1e-6
+            fp, _ = fun(x + h * direction)
+            fm, _ = fun(x - h * direction)
+            fd = (fp - fm) / (2 * h)
+            assert float(direction @ grad) == pytest.approx(fd, rel=1e-4)
 
 
 class TestIfgsm:

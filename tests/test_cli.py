@@ -1,3 +1,4 @@
+import configparser
 import json
 
 import numpy as np
@@ -167,6 +168,23 @@ class TestUniversalAndTransfer:
         rows = [json.loads(line) for line in
                 (tr_out / "transfer.jsonl").read_text().splitlines()]
         assert rows[0]["robustness"] is not None
+
+    def test_universal_steps_are_per_batch(self, tmp_path, tiny_manifest):
+        deltas = {}
+        for steps in (1, 3):
+            out = tmp_path / f"steps{steps}"
+            assert run(["--out", out, "--deterministic", "universal",
+                        "--manifest", tiny_manifest, "--eps2", "5e-3",
+                        "--epochs", "1", "--steps", steps]) == 0
+            deltas[steps] = flowio.read_perturbation(out / "universal_delta.npz")
+            echo = configparser.ConfigParser()
+            echo.read(out / "config_echo.ini")
+            assert echo["universal"]["steps_per_batch"] == str(steps)
+            assert echo["universal"]["epochs"] == "1"
+            assert echo["universal"]["batch_size"] == "4"
+            assert echo["attack"]["box"] == "clipping"
+            assert echo["attack"]["mu"] == "auto"
+        assert not np.array_equal(deltas[1].first, deltas[3].first)
 
     def test_transfer_grid_mismatch_renders_na(self, tmp_path, tiny_manifest):
         from flowattack.core import Perturbation, PerturbMode

@@ -5,7 +5,6 @@ from flowattack import io as flowio
 from flowattack.attack import BoxConstraint, LossKind, PcfaConfig, pcfa_attack
 from flowattack.core import (Image, PerturbMode, ShapeError, joint_l2_norm,
                              scale_bound)
-from flowattack.evaluation import attack_strength
 from flowattack.synthetic import make_pair, make_suite
 from flowattack.universal import (DatasetManifest, UniversalTrainConfig,
                                   apply_universal, train_universal)
@@ -123,19 +122,15 @@ class TestTrainUniversal:
     def test_single_pair_matches_frame_specific(self, fast_estimator):
         """With one pair and the same total step budget, universal joint
         training optimizes the very same objective as the frame-specific
-        joint attack, so their attack strengths must agree closely."""
+        joint attack, so it must arrive at the very same perturbation."""
         f1, f2, _ = make_pair(8, 48, 48)
         cfg = joint_cfg()
         specific = pcfa_attack(fast_estimator, f1, f2, cfg)
-        zero = np.zeros((2, 48, 48))
-        s_specific = attack_strength(specific.flow_adv, zero)
 
         data = DatasetManifest.from_pairs([(f1, f2)])
         pert = train_universal(fast_estimator, data, UniversalTrainConfig(
             attack=cfg, epochs=1, batch_size=1, steps_per_batch=20))
-        a1, a2 = apply_universal(pert, f1, f2)
-        s_universal = attack_strength(fast_estimator.estimate_flow(a1, a2), zero)
-        assert abs(s_universal - s_specific) <= 0.05 * s_specific
+        assert np.array_equal(pert.first, specific.perturbation.first)
 
     def test_zero_budget_returns_zero_perturbation(self, fast_estimator):
         suite = make_suite(2, seed=5, height=24, width=24)
