@@ -364,7 +364,10 @@ class PenalizedObjective:
 
     A frame-specific attack is the one-pair case. box_min/box_max record
     the extreme perturbed pixel values seen across every evaluation, so
-    box exactness is checkable per iterate.
+    box exactness is checkable per iterate. With grad=False the adjoint
+    sweep and the pull-back are skipped and the gradient is None; the
+    value is bitwise the one a gradient call returns, because both add
+    the same terms in the same order.
     """
 
     estimator: FlowEstimator
@@ -382,7 +385,7 @@ class PenalizedObjective:
         g = gpen.reshape((2,) + d1.shape)
         return pval, g[0], g[1]
 
-    def __call__(self, x):
+    def __call__(self, x, grad=True):
         param = self.param
         grad_fn = _LOSS_GRADS[self.loss]
         total = 0.0
@@ -393,18 +396,23 @@ class PenalizedObjective:
             self.box_max = max(self.box_max, float(p1.max()), float(p2.max()))
             flow, vjp = self.estimator.value_and_vjp(p1, p2)
             lval, gflow = grad_fn(flow, target)
-            gp1, gp2 = vjp(gflow)
             if param.realized:
                 pval, g1, g2 = self._penalty(d1, d2)
                 lval += pval
-                gp1, gp2 = gp1 + g1, gp2 + g2
             total += lval
-            gx += param.pullback(x, i1, i2, gp1, gp2)
+            if grad:
+                gp1, gp2 = vjp(gflow)
+                if param.realized:
+                    gp1, gp2 = gp1 + g1, gp2 + g2
+                gx += param.pullback(x, i1, i2, gp1, gp2)
         total /= len(self.pairs)
-        gx /= len(self.pairs)
         if not param.realized:
             pval, g1, g2 = self._penalty(*param.fields(x, self.pairs[0][0].shape))
             total += pval
+        if not grad:
+            return total, None
+        gx /= len(self.pairs)
+        if not param.realized:
             gx += param.gather(g1, g2)
         return total, gx
 
@@ -515,7 +523,7 @@ def ifgsm_attack(estimator: FlowEstimator, frame1, frame2, eps_inf: float,
     tgt = target.resolve(flow_init.data)
     grad_fn = _LOSS_GRADS[LossKind(loss)]
     step = eps_inf / steps
-    trace = OptimTrace()
+    trace = OptimTrace(grad_evals=steps)
     p1, p2 = i1, i2
     for n in range(steps):
         flow, vjp = estimator.value_and_vjp(p1, p2)

@@ -296,8 +296,14 @@ def cmd_universal(args) -> int:
                {"epochs": "epochs", "batch_size": "batch_size",
                 "steps": "steps_per_batch"})
     estimator = _build_estimator(config.get("estimator", {}))
-    atk_section = dict(config.get("attack", {}))
-    atk_section["box"] = "clipping"
+    atk_section = config.get("attack", {})
+    if "steps" in atk_section:
+        raise UsageError("[attack] steps does not apply to universal training; "
+                         "set [universal] steps_per_batch instead")
+    if "method" in atk_section:
+        raise UsageError("[attack] method does not apply to universal training")
+    if atk_section.get("box", "clipping") != "clipping":
+        raise UsageError("universal training requires [attack] box = clipping")
     cfg = _build_attack_config(atk_section, args.seed)
     try:
         ucfg = UniversalTrainConfig(attack=cfg, **{
@@ -327,6 +333,7 @@ def cmd_universal(args) -> int:
         "eps2": cfg.epsilon2,
         "epochs": ucfg.epochs,
         "batch_size": ucfg.batch_size,
+        "steps_per_batch": ucfg.steps_per_batch,
         "seed": cfg.seed,
         "l2": joint_l2_norm(pert),
         "linf": float(np.abs(pert.first).max()),

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -78,15 +78,23 @@ def patch_equivalent_epsilon(patch_pixels: int, image_pixels: int,
 
 @dataclass(frozen=True)
 class TraceSummary:
+    """The optimizer trace in a report: accepted steps, first and last
+    loss, what the optimizer spent (value-only and gradient evaluations)
+    and why it stopped. The counts are deterministic."""
+
     steps_taken: int
     loss_first: float | None
     loss_last: float | None
+    value_evals: int = 0
+    grad_evals: int = 0
+    stop_reason: str | None = None
 
     @staticmethod
     def from_trace(trace) -> "TraceSummary":
+        spent = (trace.value_evals, trace.grad_evals, trace.stop_reason)
         if len(trace) == 0:
-            return TraceSummary(0, None, None)
-        return TraceSummary(len(trace), trace.values[0], trace.values[-1])
+            return TraceSummary(0, None, None, *spent)
+        return TraceSummary(len(trace), trace.values[0], trace.values[-1], *spent)
 
 
 _REPORT_FIELDS = ("estimator", "eps2", "mu", "loss", "target", "box", "mode",
@@ -130,17 +138,14 @@ class AttackReport:
     def to_json_line(self) -> str:
         record = {name: getattr(self, name) for name in _REPORT_FIELDS}
         record["initial_quality"] = self.initial_quality
-        record["trace"] = {"steps_taken": self.trace.steps_taken,
-                           "loss_first": self.trace.loss_first,
-                           "loss_last": self.trace.loss_last}
+        record["trace"] = asdict(self.trace)
         return json.dumps(record, sort_keys=False, separators=(",", ":"))
 
     @staticmethod
     def from_json_line(line: str) -> "AttackReport":
         record = json.loads(line)
         tr = record.pop("trace")
-        return AttackReport(trace=TraceSummary(tr["steps_taken"], tr["loss_first"],
-                                               tr["loss_last"]), **record)
+        return AttackReport(trace=TraceSummary(**tr), **record)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,14 @@
 """Limited-memory BFGS with a backtracking Armijo line search.
 
-The objective is a callable x -> (value, gradient) over a flat float64
-vector. Armijo-only backtracking is used on purpose: the attack objective
+The objective is a callable objective(x, grad=True) -> (value, gradient)
+over a flat float64 vector. With grad=False only the value is used, and
+the objective may return (value, None) and skip its gradient work. The
+line search asks for values only: an Armijo test compares objective
+values and nothing else, so trial steps never pay for a gradient. The
+starting point and each accepted point are evaluated with the gradient;
+an accepted point is thus evaluated twice, once per kind of call.
+
+Armijo-only backtracking is used on purpose: the attack objective
 is nonsmooth at the budget boundary, and curvature conditions reject
 useful steps near such kinks. Setting history to 0 degenerates into plain
 gradient descent with the same line search, which serves as a cross-check
@@ -53,12 +60,20 @@ class LbfgsParams:
 
 @dataclass
 class OptimTrace:
-    """Per accepted step: objective value, gradient norm, step length."""
+    """Per accepted step: objective value, gradient norm, step length.
+
+    value_evals counts value-only objective calls and grad_evals the calls
+    that also computed the gradient. stop_reason is "max_steps",
+    "grad_tol" or "line_search" (no backtracked step decreased enough).
+    """
 
     values: list[float] = field(default_factory=list)
     grad_norms: list[float] = field(default_factory=list)
     step_lengths: list[float] = field(default_factory=list)
     initial_value: float = float("nan")
+    value_evals: int = 0
+    grad_evals: int = 0
+    stop_reason: str = "max_steps"
 
     def __len__(self):
         return len(self.values)
@@ -83,16 +98,29 @@ def _two_loop(g, pairs):
 def lbfgs_minimize(objective, x0, params: LbfgsParams | None = None):
     """Minimize `objective` from `x0`; returns (x, OptimTrace).
 
+    Trial steps of the line search call objective(x, grad=False); the
+    start and every accepted point call objective(x) for the gradient.
+    The objective must return the same value from both kinds of call.
+
     Stops at max_steps, when the gradient norm falls to grad_tol, or when
-    no backtracked step achieves sufficient decrease (a kink). Objective
-    values along accepted steps are strictly non-increasing. Encountering
-    a non-finite value or gradient raises NumericError.
+    no backtracked step achieves sufficient decrease (a kink); the trace
+    records which. Objective values along accepted steps are strictly
+    non-increasing. Encountering a non-finite value (at any trial) or
+    gradient (at the start or an accepted point) raises NumericError.
     """
     params = params or LbfgsParams()
     x = np.asarray(x0, dtype=np.float64).ravel().copy()
     trace = OptimTrace()
 
+    def value(z):
+        trace.value_evals += 1
+        f, _ = objective(z, grad=False)
+        if not np.isfinite(f):
+            raise NumericError("non-finite objective", trace)
+        return float(f)
+
     def evaluate(z):
+        trace.grad_evals += 1
         f, g = objective(z)
         g = np.asarray(g, dtype=np.float64).ravel()
         if not np.isfinite(f) or not np.all(np.isfinite(g)):
@@ -106,6 +134,7 @@ def lbfgs_minimize(objective, x0, params: LbfgsParams | None = None):
     for _ in range(params.max_steps):
         gnorm = float(np.linalg.norm(g))
         if gnorm <= params.grad_tol:
+            trace.stop_reason = "grad_tol"
             break
         if pairs:
             d = -_two_loop(g, pairs)
@@ -119,13 +148,15 @@ def lbfgs_minimize(objective, x0, params: LbfgsParams | None = None):
         accepted = False
         for _ in range(params.max_backtracks):
             xn = x + t * d
-            fn, gn = evaluate(xn)
+            fn = value(xn)
             if fn <= f + params.sufficient_decrease * t * slope:
                 accepted = True
                 break
             t *= params.contraction
         if not accepted:
+            trace.stop_reason = "line_search"
             break
+        _, gn = evaluate(xn)
         s = xn - x
         y = gn - g
         if pairs is not None:

@@ -10,7 +10,9 @@ from flowattack.attack import (BoxConstraint, LossKind, Parametrization,
                                loss_mse, loss_with_grad, pcfa_attack,
                                penalty_value_grad)
 from flowattack.core import PerturbMode, ShapeError, scale_bound
+from flowattack.diffflow import FlowEstimator
 from flowattack.evaluation import attack_strength
+from flowattack.optim import LbfgsParams, lbfgs_minimize
 from flowattack.synthetic import make_pair
 
 
@@ -260,6 +262,86 @@ class TestPcfaAttack:
             assert float(direction @ grad) == pytest.approx(fd, rel=1e-4)
 
 
+class CountingEstimator(FlowEstimator):
+    """Counts the adjoint sweeps its VJP closures run."""
+
+    def __init__(self, config):
+        super().__init__(config, label="counting")
+        self.vjp_calls = 0
+
+    def value_and_vjp(self, frame1, frame2):
+        flow, vjp = super().value_and_vjp(frame1, frame2)
+
+        def counted(cotangent):
+            self.vjp_calls += 1
+            return vjp(cotangent)
+        return flow, counted
+
+
+def value_only_cases(estimator):
+    """(name, objective factory taking eps_hat, start point) for each
+    penalty placement: cov and clipped disjoint fields penalized as
+    realized, a clipped joint field and a two-pair disjoint batch
+    penalized raw."""
+    f1, f2, _ = make_pair(31, 16, 16)
+    a, b, _ = make_pair(32, 16, 16)
+    one = [(f1.data, f2.data, np.zeros((2, 16, 16)))]
+    two = one + [(a.data, b.data, -estimator.estimate_flow(a, b).data)]
+    cases = {"cov": (BoxConstraint.COV, PerturbMode.DISJOINT, True, one),
+             "clip-disjoint": (BoxConstraint.CLIPPING, PerturbMode.DISJOINT,
+                               True, one),
+             "clip-joint": (BoxConstraint.CLIPPING, PerturbMode.JOINT,
+                            False, one),
+             "batch-raw": (BoxConstraint.CLIPPING, PerturbMode.DISJOINT,
+                           False, two)}
+    for name, (box, mode, realized, pairs) in cases.items():
+        param = Parametrization(box, mode, realized)
+
+        def make(eps_hat, param=param, pairs=pairs):
+            return PenalizedObjective(estimator, param, pairs, LossKind.AEE,
+                                      eps_hat=eps_hat, mu=10.0)
+        yield name, make, param.start(*pairs[0][:2])
+
+
+class TestValueOnlyObjective:
+    @pytest.mark.parametrize("active", [True, False])
+    def test_value_bitwise_equal_and_box_recorded(self, fast_estimator, active):
+        rng = np.random.default_rng(17)
+        for name, make, x0 in value_only_cases(fast_estimator):
+            x = x0 + rng.normal(0, 1e-2, x0.shape)
+            eps_hat = 1e-3 if active else 1e3
+            full, lazy = make(eps_hat), make(eps_hat)
+            value, grad = full(x)
+            lazy_value, lazy_grad = lazy(x, grad=False)
+            assert lazy_grad is None
+            assert lazy_value == value, name
+            assert (lazy.box_min, lazy.box_max) == (full.box_min, full.box_max)
+            assert np.isfinite(lazy.box_min) and np.isfinite(lazy.box_max)
+            # the penalty term is present exactly when active
+            assert (make(1e3)(x, grad=False)[0] < value) == active, name
+
+    def test_optimizer_iterates_unchanged(self, fast_estimator):
+        for name, make, x0 in value_only_cases(fast_estimator):
+            fun, always = make(1e-1), make(1e-1)
+            params = LbfgsParams(max_steps=4)
+            x, trace = lbfgs_minimize(fun, x0, params)
+            x_ref, trace_ref = lbfgs_minimize(
+                lambda z, grad=True: always(z), x0, params)
+            assert np.array_equal(x, x_ref), name
+            assert np.array_equal(trace.values, trace_ref.values), name
+            assert (fun.box_min, fun.box_max) == (always.box_min, always.box_max)
+            assert trace.value_evals > 0
+
+    def test_adjoint_runs_once_per_gradient_evaluation(self, fast_estimator):
+        estimator = CountingEstimator(fast_estimator.config)
+        for name, make, x0 in value_only_cases(estimator):
+            fun = make(1e-1)
+            calls_before = estimator.vjp_calls
+            _, trace = lbfgs_minimize(fun, x0, LbfgsParams(max_steps=3))
+            assert estimator.vjp_calls - calls_before == \
+                trace.grad_evals * len(fun.pairs), name
+
+
 class TestIfgsm:
     def test_linf_bound_exact(self, fast_estimator, small_pair):
         f1, f2, _ = small_pair
@@ -279,6 +361,12 @@ class TestIfgsm:
         assert result.l2_norm > 0.0
         assert (attack_strength(result.flow_adv, zero)
                 < attack_strength(result.flow_init, zero))
+
+    def test_trace_counts_gradient_steps(self, fast_estimator, small_pair):
+        f1, f2, _ = small_pair
+        trace = ifgsm_attack(fast_estimator, f1, f2, eps_inf=5e-3, steps=3).trace
+        assert (trace.value_evals, trace.grad_evals) == (0, 3)
+        assert trace.stop_reason == "max_steps"
 
     def test_step_validation(self, fast_estimator, small_pair):
         f1, f2, _ = small_pair

@@ -45,6 +45,10 @@ class TestAttackCommand:
         record = json.loads(report[0])
         assert record["mu"] == 5e5  # default pairing applied and echoed
         assert record["runtime_ms"] == 0.0
+        trace = record["trace"]
+        assert trace["grad_evals"] == trace["steps_taken"] + 1
+        assert trace["value_evals"] >= trace["steps_taken"]
+        assert trace["stop_reason"] in ("max_steps", "grad_tol", "line_search")
         for suffix in ("flow_init", "flow_adv", "flow_target", "delta1",
                        "delta2", "img_adv1", "img_adv2"):
             assert (out / f"pair000_{suffix}.png").is_file()
@@ -96,6 +100,9 @@ class TestAttackCommand:
         record = json.loads((out / "report.jsonl").read_text().splitlines()[0])
         assert record["mu"] is None
         assert record["linf"] <= 5e-3 + 1e-12
+        assert record["trace"]["grad_evals"] == 4
+        assert record["trace"]["value_evals"] == 0
+        assert record["trace"]["stop_reason"] == "max_steps"
         assert record["initial_quality"] is not None  # pair 0 carries a gt
 
     def test_initial_quality_never_uses_attacked_flow(self, tmp_path,
@@ -177,6 +184,8 @@ class TestUniversalAndTransfer:
                         "--manifest", tiny_manifest, "--eps2", "5e-3",
                         "--epochs", "1", "--steps", steps]) == 0
             deltas[steps] = flowio.read_perturbation(out / "universal_delta.npz")
+            summary = json.loads((out / "summary.json").read_text())
+            assert summary["steps_per_batch"] == steps
             echo = configparser.ConfigParser()
             echo.read(out / "config_echo.ini")
             assert echo["universal"]["steps_per_batch"] == str(steps)
@@ -196,6 +205,25 @@ class TestUniversalAndTransfer:
                     "--perturbations", pert_path,
                     "--manifest", tiny_manifest]) == 0
         assert "n/a" in (out / "transfer.txt").read_text()
+
+    @pytest.mark.parametrize("line", ["steps = 7", "method = ifgsm",
+                                      "box = cov"])
+    def test_universal_rejects_ignored_attack_keys(self, tmp_path,
+                                                   tiny_manifest, capsys, line):
+        cfg = tmp_path / "uni.ini"
+        cfg.write_text(f"[attack]\n{line}\n")
+        out = tmp_path / "uni"
+        assert run(["--config", cfg, "--out", out, "universal",
+                    "--manifest", tiny_manifest, "--epochs", "1"]) == 1
+        assert not out.exists()
+        if line.startswith("steps"):
+            assert "steps_per_batch" in capsys.readouterr().err
+
+    def test_universal_accepts_clipping_box(self, tmp_path, tiny_manifest):
+        cfg = tmp_path / "uni.ini"
+        cfg.write_text("[attack]\nbox = clipping\n")
+        assert run(["--config", cfg, "--out", tmp_path / "uni", "universal",
+                    "--manifest", tiny_manifest, "--epochs", "1"]) == 0
 
     def test_universal_requires_manifest(self, tmp_path):
         assert run(["--out", tmp_path / "x", "universal"]) == 1

@@ -94,6 +94,14 @@ class TestAttackReport:
         back = AttackReport.from_json_line(report.to_json_line())
         assert back == report
 
+    def test_roundtrip_optimizer_spend(self):
+        from dataclasses import replace
+        report = replace(self.make_report(),
+                         trace=TraceSummary(12, 2.0, 1.2, 41, 13, "line_search"))
+        line = report.to_json_line()
+        assert '"value_evals":41,"grad_evals":13,"stop_reason":"line_search"' in line
+        assert AttackReport.from_json_line(line) == report
+
     def test_equal_reports_serialize_identically(self):
         assert self.make_report().to_json_line() == self.make_report().to_json_line()
 

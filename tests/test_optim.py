@@ -5,13 +5,13 @@ from flowattack.optim import LbfgsParams, NumericError, lbfgs_minimize
 
 
 def quadratic(center):
-    def fun(x):
+    def fun(x, grad=True):
         d = x - center
         return 0.5 * float(np.dot(d, d)), d
     return fun
 
 
-def rosenbrock(x):
+def rosenbrock(x, grad=True):
     a, b = x
     val = (1 - a) ** 2 + 100 * (b - a * a) ** 2
     grad = np.array([-2 * (1 - a) - 400 * a * (b - a * a),
@@ -47,7 +47,7 @@ def test_monotone_descent():
     psd = mat @ mat.T + np.eye(6)
     rhs = rng.normal(size=6)
 
-    def fun(x):
+    def fun(x, grad=True):
         return 0.5 * float(x @ psd @ x) - float(rhs @ x), psd @ x - rhs
 
     _, trace = lbfgs_minimize(fun, rng.normal(size=6), LbfgsParams(max_steps=30))
@@ -57,7 +57,7 @@ def test_monotone_descent():
 
 def test_nonsmooth_objective_descends():
     # kinked objective: |x| + quadratic; optimizer must not oscillate upward
-    def fun(x):
+    def fun(x, grad=True):
         return float(np.sum(np.abs(x))) + 0.5 * float(np.dot(x, x)), \
             np.sign(x) + x
 
@@ -73,7 +73,7 @@ def test_history_zero_matches_gradient_descent():
     mat = rng.normal(size=(4, 4))
     psd = mat @ mat.T + np.eye(4)
 
-    def fun(x):
+    def fun(x, grad=True):
         return 0.5 * float(x @ psd @ x), psd @ x
 
     x0 = rng.normal(size=4)
@@ -99,7 +99,7 @@ def test_history_zero_matches_gradient_descent():
 def test_nonfinite_raises_numeric_error():
     calls = {"n": 0}
 
-    def fun(x):
+    def fun(x, grad=True):
         calls["n"] += 1
         if calls["n"] > 2:
             return float("nan"), np.zeros_like(x)
@@ -108,6 +108,61 @@ def test_nonfinite_raises_numeric_error():
     with pytest.raises(NumericError) as excinfo:
         lbfgs_minimize(fun, np.array([4.0]), LbfgsParams(max_steps=10))
     assert excinfo.value.trace is not None
+
+
+def test_trials_are_value_only():
+    calls = {True: 0, False: 0}
+
+    def fun(x, grad=True):
+        calls[grad] += 1
+        val, g = rosenbrock(x)
+        return val, g if grad else None
+
+    _, trace = lbfgs_minimize(fun, np.array([-1.2, 1.0]),
+                              LbfgsParams(max_steps=30))
+    # the start and every accepted point pay for a gradient, trials do not
+    assert trace.grad_evals == calls[True] == 1 + len(trace)
+    assert trace.value_evals == calls[False] >= len(trace)
+    assert trace.stop_reason == "max_steps"
+
+
+def test_stop_reasons():
+    x0 = np.array([2.0, -1.0])
+    _, trace = lbfgs_minimize(quadratic(x0.copy()), x0, LbfgsParams())
+    assert trace.stop_reason == "grad_tol"
+    assert (trace.value_evals, trace.grad_evals) == (0, 1)
+
+    def uphill(x, grad=True):
+        # the reported gradient points uphill, so no trial decreases
+        return float(np.dot(x, x)), -2 * x
+
+    _, trace = lbfgs_minimize(uphill, np.array([1.0, 1.0]),
+                              LbfgsParams(max_backtracks=5))
+    assert trace.stop_reason == "line_search"
+    assert len(trace) == 0
+    assert (trace.value_evals, trace.grad_evals) == (5, 1)
+
+
+def test_nonfinite_trial_value_raises_numeric_error():
+    def fun(x, grad=True):
+        if not grad:
+            return float("nan"), None
+        return float(np.sum(x ** 2)), 2 * x
+
+    with pytest.raises(NumericError) as excinfo:
+        lbfgs_minimize(fun, np.array([4.0]), LbfgsParams(max_steps=10))
+    trace = excinfo.value.trace
+    assert (trace.value_evals, trace.grad_evals) == (1, 1)
+
+
+def test_nonfinite_gradient_at_accepted_point_raises():
+    def fun(x, grad=True):
+        g = 2 * x if abs(x[0]) == 4.0 else np.full_like(x, np.inf)
+        return float(np.sum(x ** 2)), g
+
+    with pytest.raises(NumericError) as excinfo:
+        lbfgs_minimize(fun, np.array([4.0]), LbfgsParams(max_steps=10))
+    assert excinfo.value.trace.grad_evals == 2
 
 
 def test_param_validation():
