@@ -6,13 +6,22 @@ Flow files: the float32 'PIEH' format and 16-bit PNG fields storing
 imaging libraries cannot write 16-bit RGB reliably, and the byte-exact
 roundtrip guarantees here are easier to keep without them). Everything is
 little-endian on disk where a choice exists, regardless of host.
+
+Readers treat files as untrusted. The PNG reader verifies every chunk's
+CRC, rejects an IHDR that is not 13 bytes or declares a zero dimension,
+and inflates at most the size IHDR implies, so a small compressed stream
+cannot expand without bound. The perturbation reader accepts only the
+uncompressed `.npz` members `write_perturbation` writes, each holding the
+bytes its header declares. Malformed input raises `FormatError`.
 """
 
 from __future__ import annotations
 
 import io
+import math
 import os
 import struct
+import zipfile
 import zlib
 
 import numpy as np
@@ -33,6 +42,7 @@ class FormatError(ValueError):
 
 FLO_MAGIC = 202021.25
 _PNG_SIG = b"\x89PNG\r\n\x1a\n"
+_DEFLATE_MAX_RATIO = 1032
 
 
 def atomic_write_bytes(path, data: bytes):
@@ -126,6 +136,27 @@ def _paeth(a, b, c):
     return out.astype(np.uint8)
 
 
+def _unfilter_sequential(ftype: int, line: list, prior: list, bpp: int) -> list:
+    """Undo Average (3) or Paeth (4) on one scanline of Python ints. Each
+    byte's predictor reads the reconstructed byte `bpp` to its left, so
+    the row runs left to right."""
+    if ftype == 3:
+        rec = [(x + (b >> 1)) & 0xFF for x, b in zip(line[:bpp], prior)]
+        for x, b in zip(line[bpp:], prior[bpp:]):
+            rec.append((x + ((rec[-bpp] + b) >> 1)) & 0xFF)
+        return rec
+    # with no left neighbour the Paeth predictor is the byte above
+    rec = [(x + b) & 0xFF for x, b in zip(line[:bpp], prior)]
+    for x, b, c in zip(line[bpp:], prior[bpp:], prior):
+        a = rec[-bpp]
+        pa = abs(b - c)
+        pb = abs(a - c)
+        pc = abs(a + b - c - c)
+        rec.append((x + (a if pa <= pb and pa <= pc else b if pb <= pc else c))
+                   & 0xFF)
+    return rec
+
+
 def _png_decode(raw: bytes):
     """Returns (samples, bit_depth) with samples (M, N) or (M, N, 3)."""
     if not raw.startswith(_PNG_SIG):
@@ -136,10 +167,15 @@ def _png_decode(raw: bytes):
     while pos + 8 <= len(raw):
         length, kind = struct.unpack(">I4s", raw[pos:pos + 8])
         data = raw[pos + 8:pos + 8 + length]
-        if len(data) < length:
+        crc = raw[pos + 8 + length:pos + 12 + length]
+        if len(data) < length or len(crc) < 4:
             raise FormatError("truncated PNG chunk")
+        if struct.unpack(">I", crc)[0] != zlib.crc32(data, zlib.crc32(kind)):
+            raise FormatError(f"PNG chunk {kind!r} fails its CRC check")
         pos += 12 + length
         if kind == b"IHDR":
+            if length != 13:
+                raise FormatError(f"PNG IHDR is {length} bytes, not 13")
             ihdr = struct.unpack(">IIBBBBB", data)
         elif kind == b"IDAT":
             idat += data
@@ -148,6 +184,8 @@ def _png_decode(raw: bytes):
     if ihdr is None or not idat:
         raise FormatError("PNG missing IHDR or IDAT")
     width, height, depth, color_type, comp, filt, interlace = ihdr
+    if not (0 < width < 2 ** 31 and 0 < height < 2 ** 31):
+        raise FormatError(f"invalid PNG dimensions {width}x{height}")
     if comp != 0 or filt != 0 or interlace != 0:
         raise FormatError("unsupported PNG compression/filter/interlace mode")
     if depth not in (8, 16) or color_type not in (0, 2):
@@ -156,40 +194,37 @@ def _png_decode(raw: bytes):
     channels = 1 if color_type == 0 else 3
     bpp = channels * (depth // 8)
     stride = width * bpp
+    expected = height * (stride + 1)
+    # deflate expands at most about 1032:1, so an IHDR needing more is
+    # rejected before inflating; this also keeps expected + 1 a valid
+    # max_length (it would overflow Py_ssize_t at 2^31-1 x 2^31-1)
+    if expected > _DEFLATE_MAX_RATIO * len(idat):
+        raise FormatError(f"PNG IHDR declares {width}x{height}, more pixel data "
+                         "than its IDAT can inflate to")
+    inflater = zlib.decompressobj()
     try:
-        decompressed = zlib.decompress(bytes(idat))
+        decompressed = inflater.decompress(idat, expected + 1)
     except zlib.error as exc:
         raise FormatError(f"corrupt PNG stream: {exc}") from exc
-    flat = np.frombuffer(decompressed, dtype=np.uint8)
-    if flat.size != height * (stride + 1):
+    if len(decompressed) != expected or not inflater.eof:
         raise FormatError("corrupt PNG pixel stream")
-    flat = flat.reshape(height, stride + 1)
-    out = np.zeros((height, stride), dtype=np.uint8)
+    flat = np.frombuffer(decompressed, dtype=np.uint8).reshape(height, stride + 1)
+    out = np.empty((height, stride), dtype=np.uint8)
     prior = np.zeros(stride, dtype=np.uint8)
     for r in range(height):
-        ftype = flat[r, 0]
-        line = flat[r, 1:].copy()
+        ftype = int(flat[r, 0])
+        line = flat[r, 1:]
         if ftype == 0:
-            pass
+            out[r] = line
+        elif ftype == 1:  # Sub: a running sum per byte lane, mod 256
+            out[r] = np.cumsum(line.reshape(-1, bpp), axis=0,
+                               dtype=np.uint8).reshape(-1)
         elif ftype == 2:  # Up
-            line = (line.astype(np.int32) + prior) % 256
-        elif ftype in (1, 3, 4):  # Sub / Average / Paeth need left-to-right
-            rec = np.zeros(stride, dtype=np.uint8)
-            for i in range(stride):
-                left = rec[i - bpp] if i >= bpp else np.uint8(0)
-                up = prior[i]
-                ul = prior[i - bpp] if i >= bpp else np.uint8(0)
-                if ftype == 1:
-                    pred = int(left)
-                elif ftype == 3:
-                    pred = (int(left) + int(up)) // 2
-                else:
-                    pred = int(_paeth(np.uint8(left), np.uint8(up), np.uint8(ul)))
-                rec[i] = (int(line[i]) + pred) % 256
-            line = rec
+            np.add(line, prior, out=out[r])
+        elif ftype in (3, 4):
+            out[r] = _unfilter_sequential(ftype, line.tolist(), prior.tolist(), bpp)
         else:
             raise FormatError(f"unknown PNG filter type {ftype}")
-        out[r] = line
         prior = out[r]
     if depth == 16:
         samples = out.reshape(height, width, channels, 2)
@@ -376,11 +411,37 @@ def write_perturbation(path, p: Perturbation):
     atomic_write_bytes(path, buf.getvalue())
 
 
+def _check_npz_members(archive: zipfile.ZipFile):
+    """Each member must be stored uncompressed, as `np.savez` writes it,
+    and hold the bytes its array header declares, so loading allocates
+    no more than the file holds."""
+    for info in archive.infolist():
+        if info.compress_type != zipfile.ZIP_STORED:
+            raise FormatError(f"compressed member {info.filename!r}")
+        with archive.open(info) as member:
+            version = np.lib.format.read_magic(member)
+            read_header = (np.lib.format.read_array_header_1_0 if version == (1, 0)
+                           else np.lib.format.read_array_header_2_0)
+            shape, _, dtype = read_header(member)
+        if math.prod(shape) * dtype.itemsize > info.file_size:
+            raise FormatError(f"member {info.filename!r} declares {shape} "
+                              f"{dtype} in {info.file_size} bytes")
+
+
 def read_perturbation(path) -> Perturbation:
-    with np.load(path) as bundle:
-        mode = PerturbMode(str(bundle["mode"]))
-        first = bundle["first"]
-        second = bundle["second"] if "second" in bundle else None
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if not raw.startswith(b"PK\x03\x04"):
+        raise FormatError(f"{path}: not an .npz archive")
+    try:
+        with np.load(io.BytesIO(raw)) as bundle:
+            _check_npz_members(bundle.zip)
+            mode = PerturbMode(str(bundle["mode"]))
+            first = bundle["first"]
+            second = bundle["second"] if "second" in bundle else None
+    except (zipfile.BadZipFile, zlib.error, KeyError, EOFError,
+            NotImplementedError) as exc:
+        raise FormatError(f"{path}: corrupt perturbation archive: {exc}") from exc
     return Perturbation(mode, first, second)
 
 

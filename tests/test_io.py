@@ -1,8 +1,13 @@
+import io
 import struct
+import tracemalloc
+import zipfile
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from flowattack import io as flowio
 from flowattack.core import FlowField, Perturbation, PerturbMode
@@ -261,3 +266,264 @@ class TestPerturbationFile:
             assert np.array_equal(back.first, p.first)
             if mode == PerturbMode.DISJOINT:
                 assert np.array_equal(back.second, p.second)
+
+
+# ---------------------------------------------------------------------------
+# PNG decoder: bit-exact against the per-byte unfilter, hostile input
+# ---------------------------------------------------------------------------
+
+def _reference_unfilter(flat, bpp):
+    """Per-byte scanline unfilter on numpy scalars, the decoder's original
+    loop, kept as the oracle for the vectorized one. flat: rows x
+    (1 + stride) bytes, each row led by its filter type."""
+    height, stride = flat.shape[0], flat.shape[1] - 1
+    out = np.zeros((height, stride), dtype=np.uint8)
+    prior = np.zeros(stride, dtype=np.uint8)
+    for r in range(height):
+        ftype = flat[r, 0]
+        line = flat[r, 1:].copy()
+        if ftype == 0:
+            pass
+        elif ftype == 2:  # Up
+            line = (line.astype(np.int32) + prior) % 256
+        elif ftype in (1, 3, 4):  # Sub / Average / Paeth need left-to-right
+            rec = np.zeros(stride, dtype=np.uint8)
+            for i in range(stride):
+                left = rec[i - bpp] if i >= bpp else np.uint8(0)
+                up = prior[i]
+                ul = prior[i - bpp] if i >= bpp else np.uint8(0)
+                if ftype == 1:
+                    pred = int(left)
+                elif ftype == 3:
+                    pred = (int(left) + int(up)) // 2
+                else:
+                    pred = int(flowio._paeth(np.uint8(left), np.uint8(up),
+                                             np.uint8(ul)))
+                rec[i] = (int(line[i]) + pred) % 256
+            line = rec
+        else:
+            raise ValueError(f"unknown PNG filter type {ftype}")
+        out[r] = line
+        prior = out[r]
+    return out
+
+
+def _ihdr(width, height, depth=8, color_type=0):
+    return struct.pack(">IIBBBBB", width, height, depth, color_type, 0, 0, 0)
+
+
+def _png(ihdr, idat):
+    return (flowio._PNG_SIG + flowio._png_chunk(b"IHDR", ihdr)
+            + flowio._png_chunk(b"IDAT", idat) + flowio._png_chunk(b"IEND", b""))
+
+
+def _filtered_png(rng, width, height, depth, channels, types, top=256):
+    """A PNG whose scanlines are random filtered bytes below `top` with the
+    given filter types (any bytes are a valid filtered stream), and those
+    rows."""
+    stride = width * channels * depth // 8
+    flat = rng.integers(0, top, (height, stride + 1), dtype=np.uint8)
+    flat[:, 0] = types
+    blob = _png(_ihdr(width, height, depth, 0 if channels == 1 else 2),
+                zlib.compress(flat.tobytes()))
+    return blob, flat
+
+
+class TestPngDecoderMatchesReference:
+    @pytest.mark.parametrize("depth,channels", [(8, 1), (8, 3), (16, 1), (16, 3)])
+    @pytest.mark.parametrize("ftype", [0, 1, 2, 3, 4, "mix"])
+    def test_bit_exact(self, ftype, depth, channels):
+        rng = np.random.default_rng([depth, channels, 5 if ftype == "mix" else ftype])
+        height = 6
+        # widths 1-7 cover strides of one pixel, so shorter than 2 * bpp;
+        # bytes below 3 make Paeth's tie-breaking rules decide many bytes
+        for width, top in [(w, t) for w in range(1, 8) for t in (256, 3)]:
+            if ftype == "mix":
+                # a random per-row mix whose first row is not None
+                types = np.concatenate([rng.integers(1, 5, 1),
+                                        rng.integers(0, 5, height - 1)])
+            else:
+                types = np.full(height, ftype)
+            blob, flat = _filtered_png(rng, width, height, depth, channels,
+                                       types, top)
+            samples, got_depth = flowio._png_decode(blob)
+            ref = _reference_unfilter(flat, channels * depth // 8)
+            dtype = ">u2" if depth == 16 else "u1"
+            expected = np.frombuffer(ref.tobytes(), dtype=dtype).reshape(
+                height, width, channels).astype(np.uint16)
+            if channels == 1:
+                expected = expected[:, :, 0]
+            assert got_depth == depth
+            assert samples.dtype == expected.dtype
+            assert np.array_equal(samples, expected)
+
+
+class TestPngHostile:
+    def _valid(self):
+        return _png(_ihdr(3, 2), zlib.compress(bytes(2 * 4)))
+
+    def test_valid_baseline_decodes(self):
+        samples, depth = flowio._png_decode(self._valid())
+        assert depth == 8 and samples.shape == (2, 3)
+
+    def test_crc_mismatch_rejected(self):
+        blob = bytearray(self._valid())
+        idat_crc = blob.index(b"IEND") - 4 - 4  # last CRC byte before IEND
+        blob[idat_crc] ^= 0x01
+        with pytest.raises(flowio.FormatError, match="CRC"):
+            flowio._png_decode(bytes(blob))
+
+    def test_short_ihdr_rejected(self):
+        blob = (flowio._PNG_SIG + flowio._png_chunk(b"IHDR", b"\x00" * 5)
+                + flowio._png_chunk(b"IDAT", zlib.compress(b"\x00\x00"))
+                + flowio._png_chunk(b"IEND", b""))
+        with pytest.raises(flowio.FormatError, match="IHDR"):
+            flowio._png_decode(blob)
+
+    @pytest.mark.parametrize("width,height", [(0, 1), (1, 0)])
+    def test_zero_dimension_rejected(self, width, height):
+        pixels = bytes(height * (width + 1))
+        with pytest.raises(flowio.FormatError, match="dimensions"):
+            flowio._png_decode(_png(_ihdr(width, height), zlib.compress(pixels)))
+
+    def test_inflate_bomb_bounded(self):
+        # 200 MB of zeros deflate to about 204 KB; the IHDR declares 1x1 gray
+        packer = zlib.compressobj()
+        zeros = bytes(1 << 20)
+        idat = b"".join([packer.compress(zeros) for _ in range(200)]
+                        + [packer.flush()])
+        blob = _png(_ihdr(1, 1), idat)
+        tracemalloc.start()
+        try:
+            with pytest.raises(flowio.FormatError):
+                flowio._png_decode(blob)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+
+    @pytest.mark.parametrize("side", [10 ** 5, 2 ** 31 - 1])
+    def test_ihdr_beyond_deflate_ratio_rejected(self, side):
+        blob = _png(_ihdr(side, side), zlib.compress(b"\x00\x00"))
+        with pytest.raises(flowio.FormatError, match="IHDR"):
+            flowio._png_decode(blob)
+
+    @pytest.mark.parametrize("size", [2 * 4 - 1, 2 * 4 + 1])
+    def test_wrong_inflated_size_rejected(self, size):
+        with pytest.raises(flowio.FormatError):
+            flowio._png_decode(_png(_ihdr(3, 2), zlib.compress(bytes(size))))
+
+    def test_truncated_stream_rejected(self):
+        stream = zlib.compress(bytes(2 * 4))[:-4]  # drop the Adler-32 trailer
+        with pytest.raises(flowio.FormatError):
+            flowio._png_decode(_png(_ihdr(3, 2), stream))
+
+    def test_invalid_deflate_rejected(self):
+        with pytest.raises(flowio.FormatError, match="corrupt PNG stream"):
+            flowio._png_decode(_png(_ihdr(3, 2), b"\x78\x9c\xff\xff\xff\xff"))
+
+
+_MUTATIONS = st.lists(st.tuples(st.sampled_from(["flip", "truncate", "insert"]),
+                                st.integers(0, 2 ** 16), st.integers(0, 255)),
+                      min_size=1, max_size=4)
+
+
+@st.composite
+def _small_pngs(draw):
+    width = draw(st.integers(1, 4))
+    height = draw(st.integers(1, 4))
+    depth = draw(st.sampled_from([8, 16]))
+    channels = draw(st.sampled_from([1, 3]))
+    types = draw(st.lists(st.integers(0, 4), min_size=height, max_size=height))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return _filtered_png(rng, width, height, depth, channels, types)
+
+
+def _mutate(data, mutations):
+    out = bytearray(data)
+    for op, pos, value in mutations:
+        if op == "flip" and out:
+            out[pos % len(out)] ^= 1 + value % 255
+        elif op == "truncate":
+            del out[pos % (len(out) + 1):]
+        elif op == "insert":
+            out.insert(pos % (len(out) + 1), value)
+    return bytes(out)
+
+
+def _decodes_or_format_error(blob):
+    try:
+        samples, depth = flowio._png_decode(blob)
+    except flowio.FormatError:
+        return
+    assert depth in (8, 16)
+    assert samples.dtype == np.uint16 and samples.ndim in (2, 3)
+
+
+class TestPngFuzz:
+    @given(_small_pngs(), _MUTATIONS)
+    def test_mutated_file(self, png, mutations):
+        blob, _ = png
+        _decodes_or_format_error(_mutate(blob, mutations))
+
+    @given(_small_pngs(), st.sampled_from(["IHDR", "IDAT", "pixels"]), _MUTATIONS)
+    def test_mutated_chunk_with_valid_crc(self, png, target, mutations):
+        blob, flat = png
+        ihdr = blob[16:29]
+        idat = zlib.compress(flat.tobytes())
+        if target == "IHDR":
+            ihdr = _mutate(ihdr, mutations)
+        elif target == "IDAT":
+            idat = _mutate(idat, mutations)
+        else:
+            idat = zlib.compress(_mutate(flat.tobytes(), mutations))
+        _decodes_or_format_error(_png(ihdr, idat))
+
+
+class TestPerturbationFileHostile:
+    def test_zip_signature_with_garbage(self, tmp_path):
+        path = tmp_path / "bad.npz"
+        path.write_bytes(b"PK\x03\x04" + b"garbage" * 8)
+        with pytest.raises(flowio.FormatError):
+            flowio.read_perturbation(path)
+
+    def test_missing_mode(self, tmp_path):
+        path = tmp_path / "nomode.npz"
+        np.savez(path, first=np.zeros((1, 2, 2)))
+        with pytest.raises(flowio.FormatError):
+            flowio.read_perturbation(path)
+
+    def test_member_larger_than_file_rejected(self, tmp_path):
+        # a 300-byte archive whose field header declares 80 GB of float64
+        header = io.BytesIO()
+        np.lib.format.write_array_header_1_0(
+            header, {"descr": "<f8", "fortran_order": False,
+                     "shape": (1, 10 ** 5, 10 ** 5)})
+        mode = io.BytesIO()
+        np.save(mode, np.array("joint"))
+        path = tmp_path / "huge.npz"
+        with zipfile.ZipFile(path, "w") as archive:
+            archive.writestr("mode.npy", mode.getvalue())
+            archive.writestr("first.npy", header.getvalue() + bytes(64))
+        with pytest.raises(flowio.FormatError):
+            flowio.read_perturbation(path)
+
+    def test_compressed_member_rejected(self, tmp_path):
+        path = tmp_path / "deflated.npz"
+        np.savez_compressed(path, mode=np.array("joint"), first=np.zeros((1, 2, 2)))
+        with pytest.raises(flowio.FormatError):
+            flowio.read_perturbation(path)
+
+    @given(st.sampled_from(list(PerturbMode)), _MUTATIONS)
+    def test_mutated_archive(self, tmp_path_factory, mode, mutations):
+        rng = np.random.default_rng(7)
+        fields = [rng.normal(size=(1, 2, 3))]
+        if mode == PerturbMode.DISJOINT:
+            fields.append(rng.normal(size=(1, 2, 3)))
+        path = tmp_path_factory.mktemp("pert") / "p.npz"
+        flowio.write_perturbation(path, Perturbation(mode, *fields))
+        path.write_bytes(_mutate(path.read_bytes(), mutations))
+        try:
+            flowio.read_perturbation(path)
+        except ValueError:  # FormatError included
+            pass
