@@ -15,6 +15,17 @@ derivatives are central differences with replicated boundaries, averaged
 over the two frames; the temporal derivative is the plain frame
 difference; warping is bilinear with coordinates clamped to the image,
 which zeroes the position gradient outside.
+
+Solver layout: inside `_jacobi` and `_jacobi_adj` the flow (u, v) is one
+stacked (2, L) array in a flat, zero-guarded layout (`_Guarded`): every
+grid row ends in a zero guard column, and zero guard rows lie above and
+below, so L = M * (N + 1) and the 4-neighbour sum is three adds of
+shifted contiguous slices in the order up + down, + left, + right. A
+sweep makes one such sum. The tape for the adjoint holds the residuals
+r_k = alpha * nsum(w_k) - b, not the iterates: K stacked (2, L) arrays
+per pyramid level. The reverse sweep recomputes each iterate pointwise
+from its residual and makes one stacked neighbour sum, on the cotangent.
+Every result is byte-identical to the per-grid `_nsum` formulation.
 """
 
 from __future__ import annotations
@@ -133,19 +144,22 @@ def _warp(img, u, v):
 
 
 def _warp_adj(g, ctx):
-    """Adjoint of `_warp`: cotangents for the image and the flow."""
+    """Adjoint of `_warp`: cotangents for the image and the flow.
+
+    The image cotangent scatters each output pixel's four bilinear
+    weights back to their source pixels. One `np.bincount` per channel
+    does it, over the corner blocks 00, 01, 10, 11 concatenated in that
+    order, so every source pixel accumulates its terms in a fixed order.
+    """
     img, x0, x1, y0, y1, fx, fy, in_x, in_y = ctx
     c, m, n = img.shape
-    w00 = (1 - fy) * (1 - fx)
-    w01 = (1 - fy) * fx
-    w10 = fy * (1 - fx)
-    w11 = fy * fx
-    g_img = np.zeros_like(img)
+    weights = np.stack([(1 - fy) * (1 - fx), (1 - fy) * fx, fy * (1 - fx), fy * fx])
+    idx = np.stack([y0 * n + x0, y0 * n + x1, y1 * n + x0, y1 * n + x1]).ravel()
+    g_img = np.empty_like(img)
     for ch in range(c):
-        np.add.at(g_img[ch], (y0, x0), g[ch] * w00)
-        np.add.at(g_img[ch], (y0, x1), g[ch] * w01)
-        np.add.at(g_img[ch], (y1, x0), g[ch] * w10)
-        np.add.at(g_img[ch], (y1, x1), g[ch] * w11)
+        g_img[ch] = np.bincount(idx, (g[ch] * weights).ravel(),
+                                minlength=m * n).reshape(m, n)
+    del weights, idx  # the flow part below sets the peak; keep it lean
     i00 = img[:, y0, x0]
     i01 = img[:, y0, x1]
     i10 = img[:, y1, x0]
@@ -190,55 +204,149 @@ def _coefficients_adj(ix, iy, it, ga11, ga12, ga22, gb1, gb2):
     return gix, giy, git
 
 
+class _Guarded:
+    """Flat, zero-guarded layout of an M x N grid for the Jacobi kernels.
+
+    A buffer holds (M + 2) rows of N + 1 cells: each grid row ends in one
+    guard column, and a guard row lies above and below the grid. Grid
+    cell (i, j) sits at flat index (i + 1) * (N + 1) + j. The span
+    `lo:hi` covers the M grid rows with their guard columns, L = M * (N + 1)
+    cells; shifted by -(N + 1), +(N + 1), -1 and +1 it reads the up, down,
+    left and right neighbour of every cell in it, and a neighbour outside
+    the grid is a guard. Guards hold zero, so the 4-neighbour sum needs no
+    bounds: three adds of contiguous slices.
+    """
+
+    def __init__(self, m, n):
+        self.shape = (m, n)
+        self.stride = n + 1
+        self.lo = n + 1
+        self.hi = (m + 1) * (n + 1)
+
+    def put(self, *grids, guard=0.0):
+        """Stack (M, N) grids into a (len(grids), L) span array."""
+        m, n = self.shape
+        out = np.full((len(grids), m, n + 1), guard)
+        for k, grid in enumerate(grids):
+            out[k, :, :n] = grid
+        return out.reshape(len(grids), -1)
+
+    def take(self, a):
+        """The grid cells of a (..., L) span array, as a (..., M, N) view."""
+        m, n = self.shape
+        return a.reshape(a.shape[:-1] + (m, n + 1))[..., :n]
+
+    def buffer(self, span):
+        """A (2, M + 2, N + 1)-cell zero buffer and its (2, L) span view."""
+        buf = np.zeros((2, self.hi + self.stride))
+        buf[:, self.lo:self.hi] = span
+        return buf, buf[:, self.lo:self.hi]
+
+    def nsum(self, buf, out):
+        """4-neighbour sum of a buffer's span: up + down, + left, + right."""
+        lo, hi, s = self.lo, self.hi, self.stride
+        np.add(buf[:, lo - s:hi - s], buf[:, lo + s:hi + s], out=out)
+        out += buf[:, lo - 1:hi - 1]
+        out += buf[:, lo + 1:hi + 1]
+        return out
+
+
 def _jacobi(coeffs, u0, v0, alpha, iters, ncnt):
     """Fixed number of coupled Jacobi sweeps on the Euler-Lagrange system.
 
     Each sweep solves the per-pixel 2x2 system exactly against the
-    neighbor sums of the previous iterate. Returns the final flow plus
-    the iterate stack needed for the adjoint sweep.
+    neighbor sums of the previous iterate. The flow (u, v) is carried as
+    one stacked (2, L) span in the `_Guarded` layout, so a sweep is one
+    neighbour sum r = alpha * nsum(w) - b and one solve
+    w = (dd * r - a12 * r[::-1]) / det with dd = (d22, d11). det is inf on
+    the guard cells, so the solve writes zeros there and the guards stay
+    zero. Returns the final flow plus the tape for the adjoint sweep. The
+    tape holds the K residuals r_k as one (K, 2, L) array, 2K * M * (N + 1)
+    floats per level, about the 2(K + 1) * M * N of an iterate tape;
+    `_jacobi_adj` recomputes each iterate w_{k+1} pointwise from r_k.
     """
     a11, a12, a22, b1, b2 = coeffs
     d11 = a11 + alpha * ncnt
     d22 = a22 + alpha * ncnt
-    det = d11 * d22 - a12 * a12
-    us = [u0]
-    vs = [v0]
-    u, v = u0, v0
-    for _ in range(iters):
-        r1 = alpha * _nsum(u) - b1
-        r2 = alpha * _nsum(v) - b2
-        u = (d22 * r1 - a12 * r2) / det
-        v = (d11 * r2 - a12 * r1) / det
-        us.append(u)
-        vs.append(v)
-    return u, v, (us, vs, d11, d22, det)
+    lay = _Guarded(*a11.shape)
+    dd = lay.put(d22, d11)
+    a12f = lay.put(a12)[0]
+    detf = lay.put(d11 * d22 - a12 * a12, guard=np.inf)[0]
+    del d11, d22  # the tape sets the memory peak; hold nothing more
+    b = lay.put(b1, b2)
+    buf, w = lay.buffer(lay.put(u0, v0))
+    w += 0.0  # -0.0 to 0.0, so no neighbour sum is -0.0 (0.0 + a never is)
+    rs = np.empty((iters,) + b.shape)
+    for k in range(iters):
+        r = lay.nsum(buf, out=rs[k])
+        r *= alpha
+        r -= b
+        # w_k is spent, so w_{k+1} overwrites it; the next tape slot (b
+        # after the last residual) holds a12 * r[::-1] meanwhile
+        scratch = rs[k + 1] if k + 1 < iters else b
+        np.multiply(dd, r, out=w)
+        np.multiply(a12f, r[::-1], out=scratch)
+        w -= scratch
+        w /= detf
+    u, v = lay.take(w)
+    return u, v, (lay, rs, dd, detf)
 
 
 def _jacobi_adj(gu, gv, coeffs, tape, alpha, iters):
-    a11, a12, a22, b1, b2 = coeffs
-    us, vs, d11, d22, det = tape
-    ga11 = np.zeros_like(a11)
+    """Reverse sweep of `_jacobi`, on the same guarded layout.
+
+    Step k recomputes the iterate w_{k+1} = (p, q) from the taped
+    residual r_k and runs one stacked neighbour sum, on the cotangent.
+    The cotangent's guard cells pick up finite sums, but the solve's
+    transpose divides them by det = inf, so nothing flows back from them.
+    """
+    lay, rs, dd, det = tape
+    a12 = lay.put(coeffs[1])[0]
+    a2 = 2.0 * a12
+    g = lay.put(gu, gv)
+    g += 0.0  # as in `_jacobi`
+    gbuf, gr = lay.buffer(0.0)
+    gdiag = np.zeros_like(g)  # (ga11, ga22)
     ga12 = np.zeros_like(a12)
-    ga22 = np.zeros_like(a22)
-    gb1 = np.zeros_like(b1)
-    gb2 = np.zeros_like(b2)
-    gu = gu.copy()
-    gv = gv.copy()
+    gb = np.zeros_like(g)
+    pq = np.empty_like(g)
+    tmp = np.empty_like(g)
     for k in range(iters - 1, -1, -1):
-        r1 = alpha * _nsum(us[k]) - b1
-        r2 = alpha * _nsum(vs[k]) - b2
-        p = us[k + 1]
-        q = vs[k + 1]
-        gr1 = (gu * d22 - gv * a12) / det
-        gr2 = (gv * d11 - gu * a12) / det
-        ga11 += (gu * (-p * d22) + gv * (r2 - q * d22)) / det
-        ga22 += (gu * (r1 - p * d11) + gv * (-q * d11)) / det
-        ga12 += (gu * (2.0 * a12 * p - r2) + gv * (2.0 * a12 * q - r1)) / det
-        gb1 -= gr1
-        gb2 -= gr2
-        gu = alpha * _nsum(gr1)
-        gv = alpha * _nsum(gr2)
-    return gu, gv, (ga11, ga12, ga22, gb1, gb2)
+        r = rs[k]
+        np.multiply(dd, r, out=pq)
+        np.multiply(a12, r[::-1], out=tmp)
+        pq -= tmp
+        pq /= det
+        # ga12 += (gu * (2 a12 p - r2) + gv * (2 a12 q - r1)) / det
+        np.multiply(a2, pq, out=tmp)
+        tmp -= r[::-1]
+        tmp *= g
+        np.add(tmp[0], tmp[1], out=tmp[0])
+        tmp[0] /= det
+        ga12 += tmp[0]
+        # (ga11, ga22) += (gu * (-p * d22) + gv * (r2 - q * d22),
+        #                  gv * (-q * d11) + gu * (r1 - p * d11)) / det,
+        # with gr's span as scratch until gr itself is computed
+        np.negative(pq, out=tmp)
+        tmp *= dd
+        tmp *= g
+        np.multiply(pq[::-1], dd, out=gr)
+        np.subtract(r[::-1], gr, out=gr)
+        gr *= g[::-1]
+        tmp += gr
+        tmp /= det
+        gdiag += tmp
+        np.multiply(g, dd, out=gr)
+        np.multiply(g[::-1], a12, out=tmp)
+        gr -= tmp
+        gr /= det
+        gb -= gr
+        lay.nsum(gbuf, out=g)
+        g *= alpha
+    ga11, ga22 = lay.take(gdiag)
+    gb1, gb2 = lay.take(gb)
+    gu, gv = lay.take(g)
+    return gu, gv, (ga11, lay.take(ga12), ga22, gb1, gb2)
 
 
 # ---------------------------------------------------------------------------

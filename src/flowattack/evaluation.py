@@ -79,8 +79,9 @@ def patch_equivalent_epsilon(patch_pixels: int, image_pixels: int,
 @dataclass(frozen=True)
 class TraceSummary:
     """The optimizer trace in a report: accepted steps, first and last
-    loss, what the optimizer spent (value-only and gradient evaluations)
-    and why it stopped. The counts are deterministic."""
+    loss, what the optimizer spent (value-only and gradient evaluations),
+    why it stopped and how many trials each accepted step rejected. The
+    counts are deterministic."""
 
     steps_taken: int
     loss_first: float | None
@@ -88,10 +89,15 @@ class TraceSummary:
     value_evals: int = 0
     grad_evals: int = 0
     stop_reason: str | None = None
+    backtracks: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "backtracks", tuple(self.backtracks))
 
     @staticmethod
     def from_trace(trace) -> "TraceSummary":
-        spent = (trace.value_evals, trace.grad_evals, trace.stop_reason)
+        spent = (trace.value_evals, trace.grad_evals, trace.stop_reason,
+                 trace.backtracks)
         if len(trace) == 0:
             return TraceSummary(0, None, None, *spent)
         return TraceSummary(len(trace), trace.values[0], trace.values[-1], *spent)

@@ -63,7 +63,8 @@ class OptimTrace:
     """Per accepted step: objective value, gradient norm, step length.
 
     value_evals counts value-only objective calls and grad_evals the calls
-    that also computed the gradient. stop_reason is "max_steps",
+    that also computed the gradient. backtracks holds, per accepted step,
+    the number of rejected trials before it. stop_reason is "max_steps",
     "grad_tol" or "line_search" (no backtracked step decreased enough).
     """
 
@@ -74,6 +75,7 @@ class OptimTrace:
     value_evals: int = 0
     grad_evals: int = 0
     stop_reason: str = "max_steps"
+    backtracks: list[int] = field(default_factory=list)
 
     def __len__(self):
         return len(self.values)
@@ -146,7 +148,7 @@ def lbfgs_minimize(objective, x0, params: LbfgsParams | None = None):
             slope = -gnorm * gnorm
         t = params.initial_step
         accepted = False
-        for _ in range(params.max_backtracks):
+        for rejected in range(params.max_backtracks):
             xn = x + t * d
             fn = value(xn)
             if fn <= f + params.sufficient_decrease * t * slope:
@@ -172,5 +174,6 @@ def lbfgs_minimize(objective, x0, params: LbfgsParams | None = None):
         trace.values.append(f)
         trace.grad_norms.append(float(np.linalg.norm(g)))
         trace.step_lengths.append(t)
+        trace.backtracks.append(rejected)
 
     return x, trace

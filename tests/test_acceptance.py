@@ -26,6 +26,8 @@ from flowattack.synthetic import make_pair, make_suite
 from flowattack.universal import (DatasetManifest, UniversalTrainConfig,
                                   apply_universal, train_universal)
 
+pytestmark = pytest.mark.slow
+
 SWEEP_BUDGETS = (5e-4, 5e-3, 5e-2)
 
 

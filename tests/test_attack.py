@@ -368,6 +368,11 @@ class TestIfgsm:
         assert (trace.value_evals, trace.grad_evals) == (0, 3)
         assert trace.stop_reason == "max_steps"
 
+    def test_trace_records_no_backtracks(self, fast_estimator, small_pair):
+        f1, f2, _ = small_pair
+        trace = ifgsm_attack(fast_estimator, f1, f2, eps_inf=5e-3, steps=3).trace
+        assert trace.backtracks == []
+
     def test_step_validation(self, fast_estimator, small_pair):
         f1, f2, _ = small_pair
         with pytest.raises(ValueError):

@@ -54,6 +54,17 @@ class TestAttackCommand:
             assert (out / f"pair000_{suffix}.png").is_file()
         assert (out / "config_echo.ini").is_file()
 
+    def test_report_backtracks_account_for_value_evals(self, tmp_path):
+        from flowattack.optim import LbfgsParams
+        out = tmp_path / "out"
+        assert run(["--out", out, "--seed", 3, "--deterministic", "attack",
+                    "--eps2", "5e-3", "--steps", "3"]) == 0
+        trace = json.loads((out / "report.jsonl").read_text())["trace"]
+        assert len(trace["backtracks"]) == trace["steps_taken"]
+        failed = (LbfgsParams().max_backtracks
+                  if trace["stop_reason"] == "line_search" else 0)
+        assert trace["value_evals"] == sum(b + 1 for b in trace["backtracks"]) + failed
+
     def test_deterministic_reports_byte_identical(self, tmp_path,
                                                   tiny_manifest):
         outs = []

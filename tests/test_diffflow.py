@@ -235,3 +235,195 @@ class TestFiniteDiffCheck:
         f1, f2, _ = small_pair
         with pytest.raises(ValueError):
             finite_diff_check(fast_estimator, f1, f2, aee_to_zero, h=0.0)
+
+
+# ---------------------------------------------------------------------------
+# solver kernels: byte-equal to the per-grid kernels, exact dot tests
+# ---------------------------------------------------------------------------
+
+def _reference_jacobi(coeffs, u0, v0, alpha, iters, ncnt):
+    """Jacobi sweeps with two `_nsum` calls per sweep and the iterates on
+    the tape, the solver's original kernel, kept as the oracle."""
+    a11, a12, a22, b1, b2 = coeffs
+    d11 = a11 + alpha * ncnt
+    d22 = a22 + alpha * ncnt
+    det = d11 * d22 - a12 * a12
+    us = [u0]
+    vs = [v0]
+    u, v = u0, v0
+    for _ in range(iters):
+        r1 = alpha * df._nsum(u) - b1
+        r2 = alpha * df._nsum(v) - b2
+        u = (d22 * r1 - a12 * r2) / det
+        v = (d11 * r2 - a12 * r1) / det
+        us.append(u)
+        vs.append(v)
+    return u, v, (us, vs, d11, d22, det)
+
+
+def _reference_jacobi_adj(gu, gv, coeffs, tape, alpha, iters):
+    """Reverse sweep of `_reference_jacobi`: four `_nsum` calls a step."""
+    a11, a12, a22, b1, b2 = coeffs
+    us, vs, d11, d22, det = tape
+    ga11 = np.zeros_like(a11)
+    ga12 = np.zeros_like(a12)
+    ga22 = np.zeros_like(a22)
+    gb1 = np.zeros_like(b1)
+    gb2 = np.zeros_like(b2)
+    gu = gu.copy()
+    gv = gv.copy()
+    for k in range(iters - 1, -1, -1):
+        r1 = alpha * df._nsum(us[k]) - b1
+        r2 = alpha * df._nsum(vs[k]) - b2
+        p = us[k + 1]
+        q = vs[k + 1]
+        gr1 = (gu * d22 - gv * a12) / det
+        gr2 = (gv * d11 - gu * a12) / det
+        ga11 += (gu * (-p * d22) + gv * (r2 - q * d22)) / det
+        ga22 += (gu * (r1 - p * d11) + gv * (-q * d11)) / det
+        ga12 += (gu * (2.0 * a12 * p - r2) + gv * (2.0 * a12 * q - r1)) / det
+        gb1 -= gr1
+        gb2 -= gr2
+        gu = alpha * df._nsum(gr1)
+        gv = alpha * df._nsum(gr2)
+    return gu, gv, (ga11, ga12, ga22, gb1, gb2)
+
+
+def _reference_warp_adj(g, ctx):
+    """Warp adjoint scattering with `np.add.at`, the original kernel."""
+    img, x0, x1, y0, y1, fx, fy, in_x, in_y = ctx
+    c, m, n = img.shape
+    w00 = (1 - fy) * (1 - fx)
+    w01 = (1 - fy) * fx
+    w10 = fy * (1 - fx)
+    w11 = fy * fx
+    g_img = np.zeros_like(img)
+    for ch in range(c):
+        np.add.at(g_img[ch], (y0, x0), g[ch] * w00)
+        np.add.at(g_img[ch], (y0, x1), g[ch] * w01)
+        np.add.at(g_img[ch], (y1, x0), g[ch] * w10)
+        np.add.at(g_img[ch], (y1, x1), g[ch] * w11)
+    i00 = img[:, y0, x0]
+    i01 = img[:, y0, x1]
+    i10 = img[:, y1, x0]
+    i11 = img[:, y1, x1]
+    dout_dx = (1 - fy) * (i01 - i00) + fy * (i11 - i10)
+    dout_dy = (1 - fx) * (i10 - i00) + fx * (i11 - i01)
+    g_u = np.sum(g * dout_dx, axis=0) * in_x
+    g_v = np.sum(g * dout_dy, axis=0) * in_y
+    return g_img, g_u, g_v
+
+
+def _random_coeffs(rng, m, n):
+    return (rng.uniform(0.5, 1.0, (m, n)), rng.uniform(-0.2, 0.2, (m, n)),
+            rng.uniform(0.5, 1.0, (m, n)), rng.normal(0, 0.1, (m, n)),
+            rng.normal(0, 0.1, (m, n)))
+
+
+def _same_bytes(xs, ys):
+    return len(xs) == len(ys) and all(
+        x.shape == y.shape and x.tobytes() == y.tobytes() for x, y in zip(xs, ys))
+
+
+class TestKernelOracles:
+    """The kernels reproduce the original per-grid kernels byte for byte."""
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 7), (64, 64)])
+    @pytest.mark.parametrize("iters", [1, 60])
+    @pytest.mark.parametrize("start", ["zero", "random"])
+    def test_jacobi_and_adjoint_bytes(self, shape, iters, start):
+        rng = np.random.default_rng(10)
+        m, n = shape
+        coeffs = _random_coeffs(rng, m, n)
+        ncnt = df._ncount(m, n)
+        if start == "zero":
+            u0, v0 = np.zeros((m, n)), np.zeros((m, n))
+        else:
+            u0, v0 = rng.normal(size=(2, m, n))
+        u, v, tape = df._jacobi(coeffs, u0, v0, 0.07, iters, ncnt)
+        ur, vr, tape_r = _reference_jacobi(coeffs, u0, v0, 0.07, iters, ncnt)
+        assert _same_bytes((u, v), (ur, vr))
+        cu, cv = rng.normal(size=(2, m, n))
+        gu, gv, gc = df._jacobi_adj(cu, cv, coeffs, tape, 0.07, iters)
+        gur, gvr, gcr = _reference_jacobi_adj(cu, cv, coeffs, tape_r, 0.07, iters)
+        assert _same_bytes((gu, gv) + tuple(gc), (gur, gvr) + tuple(gcr))
+
+    @pytest.mark.parametrize("iters", [1, 2])
+    def test_negative_zeros_bytes(self, iters):
+        """Zeros keep their sign bit as in the original kernels: start and
+        cotangent hold -0.0 on a block where b = +0.0 and a12 < 0."""
+        rng = np.random.default_rng(16)
+        m, n = 9, 9
+        a11, a12, a22, b1, b2 = _random_coeffs(rng, m, n)
+        u0, v0, cu, cv = rng.normal(size=(4, m, n))
+        for a in (u0, v0, cu, cv):
+            a[1:8, 1:8] = -0.0
+        b1[1:8, 1:8] = b2[1:8, 1:8] = 0.0
+        coeffs = (a11, -np.abs(a12), a22, b1, b2)
+        ncnt = df._ncount(m, n)
+        u, v, tape = df._jacobi(coeffs, u0, v0, 0.05, iters, ncnt)
+        ur, vr, tape_r = _reference_jacobi(coeffs, u0, v0, 0.05, iters, ncnt)
+        assert _same_bytes((u, v), (ur, vr))
+        gu, gv, gc = df._jacobi_adj(cu, cv, coeffs, tape, 0.05, iters)
+        gur, gvr, gcr = _reference_jacobi_adj(cu, cv, coeffs, tape_r, 0.05, iters)
+        assert _same_bytes((gu, gv) + tuple(gc), (gur, gvr) + tuple(gcr))
+
+    @pytest.mark.parametrize("shape", [(1, 9, 10), (3, 64, 64)])
+    def test_warp_adjoint_bytes(self, shape):
+        rng = np.random.default_rng(11)
+        c, m, n = shape
+        img = rng.uniform(0, 1, shape)
+        u, v = rng.uniform(-4.0, 4.0, (2, m, n))
+        out, ctx = df._warp(img, u, v)
+        g = rng.normal(size=out.shape)
+        assert _same_bytes(df._warp_adj(g, ctx), _reference_warp_adj(g, ctx))
+
+    @pytest.mark.parametrize("label", ["hs", "hs-pyr"])
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_estimator_bytes(self, label, channels, monkeypatch):
+        est = builtin_estimators()[label]
+        f1, f2, _ = make_pair(12, 24, 28, channels=channels)
+        cotangent = np.random.default_rng(13).normal(size=(2, 24, 28))
+        flow, vjp = est.value_and_vjp(f1, f2)
+        grads = vjp(cotangent)
+        monkeypatch.setattr(df, "_jacobi", _reference_jacobi)
+        monkeypatch.setattr(df, "_jacobi_adj", _reference_jacobi_adj)
+        monkeypatch.setattr(df, "_warp_adj", _reference_warp_adj)
+        flow_r, vjp_r = est.value_and_vjp(f1, f2)
+        assert _same_bytes((flow,) + tuple(grads), (flow_r,) + tuple(vjp_r(cotangent)))
+
+
+class TestExactDotProducts:
+    def test_jacobi_solve_full_grid(self):
+        """With a11, a12, a22 fixed the K-sweep solve is linear in
+        (u0, v0, b1, b2); its adjoint must pass a full-grid dot test."""
+        rng = np.random.default_rng(14)
+        m, n, iters, alpha = 23, 31, 60, 0.05
+        a11, a12, a22, _, _ = _random_coeffs(rng, m, n)
+        ncnt = df._ncount(m, n)
+        u0, v0, b1, b2 = rng.normal(size=(4, m, n))
+        u, v, tape = df._jacobi((a11, a12, a22, b1, b2), u0, v0, alpha, iters, ncnt)
+        cu, cv = rng.normal(size=(2, m, n))
+        gu, gv, (_, _, _, gb1, gb2) = df._jacobi_adj(
+            cu, cv, (a11, a12, a22, b1, b2), tape, alpha, iters)
+        lhs = np.sum(cu * u) + np.sum(cv * v)
+        rhs = (np.sum(gu * u0) + np.sum(gv * v0)
+               + np.sum(gb1 * b1) + np.sum(gb2 * b2))
+        assert lhs == pytest.approx(rhs, rel=1e-12)
+
+    def test_warp_image_part_piled_and_clamped(self):
+        """The warp is linear in the image. Flows here send whole rows and
+        columns onto one source pixel and far past every border."""
+        rng = np.random.default_rng(15)
+        c, m, n = 2, 11, 13
+        jj, ii = np.meshgrid(np.arange(n, dtype=float), np.arange(m, dtype=float))
+        u = np.where(jj < n // 2, 4.3 - jj, 40.0 * rng.choice([-1.0, 1.0], (m, n)))
+        v = np.where(ii < m // 2, 2.6 - ii, -25.0 + rng.normal(size=(m, n)))
+        img = rng.normal(size=(c, m, n))
+        out, ctx = df._warp(img, u, v)
+        g = rng.normal(size=out.shape)
+        g_img, _, _ = df._warp_adj(g, ctx)
+        assert np.sum(g * out) == pytest.approx(np.sum(g_img * img), rel=1e-12)
+        # the flows above do pile up: some source pixels take many terms
+        weight_sums, _, _ = df._warp_adj(np.ones((c, m, n)), ctx)
+        assert weight_sums.max() > 10.0

@@ -102,6 +102,23 @@ class TestAttackReport:
         assert '"value_evals":41,"grad_evals":13,"stop_reason":"line_search"' in line
         assert AttackReport.from_json_line(line) == report
 
+    def test_roundtrip_backtracks(self):
+        from dataclasses import replace
+        report = replace(self.make_report(), trace=TraceSummary(
+            3, 2.0, 1.2, 9, 4, "line_search", [0, 3, 1]))
+        line = report.to_json_line()
+        assert '"stop_reason":"line_search","backtracks":[0,3,1]' in line
+        back = AttackReport.from_json_line(line)
+        assert back == report and back.trace.backtracks == (0, 3, 1)
+
+    def test_reads_report_without_backtracks(self):
+        import json
+        record = json.loads(self.make_report().to_json_line())
+        del record["trace"]["backtracks"]
+        back = AttackReport.from_json_line(json.dumps(record))
+        assert back.trace.backtracks == ()
+        assert back == self.make_report()
+
     def test_equal_reports_serialize_identically(self):
         assert self.make_report().to_json_line() == self.make_report().to_json_line()
 

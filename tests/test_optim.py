@@ -174,3 +174,36 @@ def test_param_validation():
         LbfgsParams(sufficient_decrease=0.0)
     with pytest.raises(ValueError):
         LbfgsParams(grad_tol=-1.0)
+
+
+def _spent_as_counted(trace, params):
+    """value_evals from the backtracks: each accepted step took its rejected
+    trials plus one, and a failed line search took every trial."""
+    failed = params.max_backtracks if trace.stop_reason == "line_search" else 0
+    return sum(b + 1 for b in trace.backtracks) + failed
+
+
+@pytest.mark.parametrize("fun, x0, params", [
+    (rosenbrock, [-1.2, 1.0], LbfgsParams(max_steps=30)),
+    (rosenbrock, [-1.2, 1.0], LbfgsParams(max_steps=30, history=0)),
+    (quadratic(np.array([1.0, -2.0])), [5.0, 5.0], LbfgsParams()),
+    (lambda x, grad=True: (float(np.dot(x, x)), -2 * x), [1.0, 1.0],
+     LbfgsParams(max_backtracks=5)),
+])
+def test_backtracks_account_for_every_value_eval(fun, x0, params):
+    _, trace = lbfgs_minimize(fun, np.array(x0), params)
+    assert len(trace.backtracks) == len(trace)
+    assert all(0 <= b < params.max_backtracks for b in trace.backtracks)
+    assert trace.value_evals == _spent_as_counted(trace, params)
+
+
+def test_backtracks_record_rejected_trials():
+    # f(x) = |x|^2 from x = 4 along -grad: t = 1 overshoots to -4 (rejected),
+    # t = 0.5 lands on the minimum
+    _, trace = lbfgs_minimize(quadratic(np.zeros(1)), np.array([4.0]),
+                              LbfgsParams(max_steps=1, history=0))
+    assert trace.backtracks == [0]
+    _, trace = lbfgs_minimize(lambda x, grad=True: (float(x @ x), 2 * x),
+                              np.array([4.0]), LbfgsParams(max_steps=1, history=0))
+    assert trace.backtracks == [1]
+    assert trace.step_lengths == [0.5]
