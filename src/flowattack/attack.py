@@ -405,6 +405,7 @@ class PenalizedObjective:
                 if param.realized:
                     gp1, gp2 = gp1 + g1, gp2 + g2
                 gx += param.pullback(x, i1, i2, gp1, gp2)
+            del vjp  # its tape, before the next pair's forward builds one
         total /= len(self.pairs)
         if not param.realized:
             pval, g1, g2 = self._penalty(*param.fields(x, self.pairs[0][0].shape))
@@ -538,6 +539,7 @@ def ifgsm_attack(estimator: FlowEstimator, frame1, frame2, eps_inf: float,
         trace.values.append(lval)
         trace.grad_norms.append(float(np.sqrt(np.sum(g1 * g1) + np.sum(g2 * g2))))
         trace.step_lengths.append(step)
+        del vjp  # its tape, before the next step's forward builds one
     return _attack_result(estimator, PerturbMode.DISJOINT, p1 - i1, p2 - i2,
                           p1, p2, flow_init, trace,
                           (float(min(p1.min(), p2.min())),

@@ -21,11 +21,18 @@ stacked (2, L) array in a flat, zero-guarded layout (`_Guarded`): every
 grid row ends in a zero guard column, and zero guard rows lie above and
 below, so L = M * (N + 1) and the 4-neighbour sum is three adds of
 shifted contiguous slices in the order up + down, + left, + right. A
-sweep makes one such sum. The tape for the adjoint holds the residuals
-r_k = alpha * nsum(w_k) - b, not the iterates: K stacked (2, L) arrays
-per pyramid level. The reverse sweep recomputes each iterate pointwise
-from its residual and makes one stacked neighbour sum, on the cotangent.
-Every result is byte-identical to the per-grid `_nsum` formulation.
+sweep makes one such sum. The reverse sweep recomputes each iterate
+pointwise from its residual and makes one stacked neighbour sum, on the
+cotangent. Every result is byte-identical to per-grid neighbour sums.
+
+Tapes hold exactly what the reverse sweep reads. The tape of a forward
+pass is one level tape per pyramid level, finest first:
+(ix, iy, it, jacobi tape, warp context). The image derivatives give the
+coefficients' adjoint and, through their shapes, the level shapes; the
+warp context is None where the level does not warp. The Jacobi tape is
+(layout, alpha, a12, dd, det, residuals): the flat solve coefficients
+and the residuals r_k = alpha * nsum(w_k) - b, not the iterates, as one
+(K, 2, L) array.
 """
 
 from __future__ import annotations
@@ -65,20 +72,6 @@ def _dy(a):
 
 def _dy_adj(g):
     return np.swapaxes(_dx_adj(np.swapaxes(g, -1, -2)), -1, -2)
-
-
-def _nsum(a):
-    """Sum over in-bounds 4-neighbors; self-adjoint by symmetry."""
-    s = np.zeros_like(a)
-    s[..., 1:, :] += a[..., :-1, :]
-    s[..., :-1, :] += a[..., 1:, :]
-    s[..., :, 1:] += a[..., :, :-1]
-    s[..., :, :-1] += a[..., :, 1:]
-    return s
-
-
-def _ncount(height, width):
-    return _nsum(np.ones((height, width)))
 
 
 def _down2(a):
@@ -251,7 +244,7 @@ class _Guarded:
         return out
 
 
-def _jacobi(coeffs, u0, v0, alpha, iters, ncnt):
+def _jacobi(coeffs, u0, v0, alpha, iters):
     """Fixed number of coupled Jacobi sweeps on the Euler-Lagrange system.
 
     Each sweep solves the per-pixel 2x2 system exactly against the
@@ -260,15 +253,21 @@ def _jacobi(coeffs, u0, v0, alpha, iters, ncnt):
     neighbour sum r = alpha * nsum(w) - b and one solve
     w = (dd * r - a12 * r[::-1]) / det with dd = (d22, d11). det is inf on
     the guard cells, so the solve writes zeros there and the guards stay
-    zero. Returns the final flow plus the tape for the adjoint sweep. The
-    tape holds the K residuals r_k as one (K, 2, L) array, 2K * M * (N + 1)
-    floats per level, about the 2(K + 1) * M * N of an iterate tape;
+    zero. Returns the final flow plus the tape for the adjoint sweep,
+    (layout, alpha, a12, dd, det, residuals): everything `_jacobi_adj`
+    reads and nothing more. The residuals r_k are one (K, 2, L) array,
+    2K * M * (N + 1) floats per level, about the 2(K + 1) * M * N of an
+    iterate tape; a12 and det add one span each and dd two.
     `_jacobi_adj` recomputes each iterate w_{k+1} pointwise from r_k.
     """
     a11, a12, a22, b1, b2 = coeffs
-    d11 = a11 + alpha * ncnt
-    d22 = a22 + alpha * ncnt
-    lay = _Guarded(*a11.shape)
+    m, n = a11.shape
+    # in-grid neighbours: 4, less one for each grid border the cell is on
+    i, j = np.arange(m)[:, None], np.arange(n)
+    count = 4.0 - (i == 0) - (i == m - 1) - (j == 0) - (j == n - 1)
+    d11 = a11 + alpha * count
+    d22 = a22 + alpha * count
+    lay = _Guarded(m, n)
     dd = lay.put(d22, d11)
     a12f = lay.put(a12)[0]
     detf = lay.put(d11 * d22 - a12 * a12, guard=np.inf)[0]
@@ -289,10 +288,10 @@ def _jacobi(coeffs, u0, v0, alpha, iters, ncnt):
         w -= scratch
         w /= detf
     u, v = lay.take(w)
-    return u, v, (lay, rs, dd, detf)
+    return u, v, (lay, alpha, a12f, dd, detf, rs)
 
 
-def _jacobi_adj(gu, gv, coeffs, tape, alpha, iters):
+def _jacobi_adj(gu, gv, tape):
     """Reverse sweep of `_jacobi`, on the same guarded layout.
 
     Step k recomputes the iterate w_{k+1} = (p, q) from the taped
@@ -300,8 +299,7 @@ def _jacobi_adj(gu, gv, coeffs, tape, alpha, iters):
     The cotangent's guard cells pick up finite sums, but the solve's
     transpose divides them by det = inf, so nothing flows back from them.
     """
-    lay, rs, dd, det = tape
-    a12 = lay.put(coeffs[1])[0]
+    lay, alpha, a12, dd, det, rs = tape
     a2 = 2.0 * a12
     g = lay.put(gu, gv)
     g += 0.0  # as in `_jacobi`
@@ -311,8 +309,7 @@ def _jacobi_adj(gu, gv, coeffs, tape, alpha, iters):
     gb = np.zeros_like(g)
     pq = np.empty_like(g)
     tmp = np.empty_like(g)
-    for k in range(iters - 1, -1, -1):
-        r = rs[k]
+    for r in rs[::-1]:
         np.multiply(dd, r, out=pq)
         np.multiply(a12, r[::-1], out=tmp)
         pq -= tmp
@@ -408,79 +405,59 @@ class FlowEstimator:
         return f1, f2
 
     def _forward(self, f1, f2):
+        """Coarse to fine; returns the flow and the level tapes, finest first.
+
+        With `warp` a level solves for an increment from zero, after
+        warping the second frame by the upsampled flow (the coarsest
+        level's zero flow would warp by the identity, so it skips that);
+        without it a level solves for the flow from the upsampled start.
+        """
         cfg = self.config
         pyr1 = [f1]
         pyr2 = [f2]
         for _ in range(cfg.pyramid_levels - 1):
             pyr1.append(_down2(pyr1[-1]))
             pyr2.append(_down2(pyr2[-1]))
-        levels = [None] * cfg.pyramid_levels
-        u = np.zeros(pyr1[-1].shape[1:])
-        v = np.zeros_like(u)
-        for lev in range(cfg.pyramid_levels - 1, -1, -1):
-            i1 = pyr1[lev]
-            i2 = pyr2[lev]
+        levels = []
+        u = v = np.zeros(pyr1[-1].shape[1:])
+        for i1, i2 in zip(pyr1[::-1], pyr2[::-1]):
             m, n = i1.shape[1:]
-            if lev < cfg.pyramid_levels - 1:
+            wctx = None
+            if levels:
                 u = 2.0 * _up2(u, m, n)
                 v = 2.0 * _up2(v, m, n)
-            ncnt = _ncount(m, n)
-            if cfg.warp:
-                if lev < cfg.pyramid_levels - 1:
-                    i2eff, wctx = _warp(i2, u, v)
-                else:
-                    i2eff, wctx = i2, None  # zero init: warp is the identity
-                ix, iy, it = _derivatives(i1, i2eff)
-                coeffs = _coefficients(ix, iy, it)
-                du, dv, jtape = _jacobi(coeffs, np.zeros((m, n)), np.zeros((m, n)),
-                                        cfg.alpha, cfg.iterations, ncnt)
-                levels[lev] = (ix, iy, it, coeffs, jtape, wctx)
-                u = u + du
-                v = v + dv
-            else:
-                ix, iy, it = _derivatives(i1, i2)
-                coeffs = _coefficients(ix, iy, it)
-                u, v, jtape = _jacobi(coeffs, u, v, cfg.alpha, cfg.iterations, ncnt)
-                levels[lev] = (ix, iy, it, coeffs, jtape, None)
-        return u, v, (pyr1, pyr2, levels)
+                if cfg.warp:
+                    i2, wctx = _warp(i2, u, v)
+            ix, iy, it = _derivatives(i1, i2)
+            start = (np.zeros((m, n)),) * 2 if cfg.warp else (u, v)
+            su, sv, jtape = _jacobi(_coefficients(ix, iy, it), *start,
+                                    cfg.alpha, cfg.iterations)
+            u, v = (u + su, v + sv) if cfg.warp else (su, sv)
+            levels.append((ix, iy, it, jtape, wctx))
+        return u, v, levels[::-1]
 
-    def _backward(self, gu, gv, tape):
+    def _backward(self, gu, gv, levels):
         cfg = self.config
-        pyr1, pyr2, levels = tape
-        g1pyr = [np.zeros_like(a) for a in pyr1]
-        g2pyr = [np.zeros_like(a) for a in pyr2]
-        for lev in range(cfg.pyramid_levels):
-            ix, iy, it, coeffs, jtape, wctx = levels[lev]
-            if cfg.warp:
-                gu_init, gv_init = gu, gv  # u_out = u_init + du
-                _, _, gcoef = _jacobi_adj(gu, gv, coeffs, jtape, cfg.alpha,
-                                          cfg.iterations)
-                gix, giy, git = _coefficients_adj(ix, iy, it, *gcoef)
-                g1, g2eff = _derivatives_adj(gix, giy, git)
-                g1pyr[lev] += g1
-                if wctx is None:
-                    g2pyr[lev] += g2eff
-                else:
-                    g2, gu_w, gv_w = _warp_adj(g2eff, wctx)
-                    g2pyr[lev] += g2
-                    gu_init = gu_init + gu_w
-                    gv_init = gv_init + gv_w
-            else:
-                gu_init, gv_init, gcoef = _jacobi_adj(gu, gv, coeffs, jtape,
-                                                      cfg.alpha, cfg.iterations)
-                gix, giy, git = _coefficients_adj(ix, iy, it, *gcoef)
-                g1, g2 = _derivatives_adj(gix, giy, git)
-                g1pyr[lev] += g1
-                g2pyr[lev] += g2
+        grads = []
+        for lev, (ix, iy, it, jtape, wctx) in enumerate(levels):
+            gu0, gv0, gcoef = _jacobi_adj(gu, gv, jtape)
+            if not cfg.warp:  # the solve started from the upsampled flow
+                gu, gv = gu0, gv0
+            g1, g2 = _derivatives_adj(*_coefficients_adj(ix, iy, it, *gcoef))
+            if wctx is not None:
+                g2, gu_w, gv_w = _warp_adj(g2, wctx)
+                gu = gu + gu_w
+                gv = gv + gv_w
+            grads.append((g1, g2))
             if lev < cfg.pyramid_levels - 1:
-                mc, nc = pyr1[lev + 1].shape[1:]
-                gu = 2.0 * _up2_adj(gu_init, mc, nc)
-                gv = 2.0 * _up2_adj(gv_init, mc, nc)
+                mc, nc = levels[lev + 1][0].shape[1:]
+                gu = 2.0 * _up2_adj(gu, mc, nc)
+                gv = 2.0 * _up2_adj(gv, mc, nc)
         for lev in range(cfg.pyramid_levels - 1, 0, -1):
-            m, n = pyr1[lev - 1].shape[1:]
-            g1pyr[lev - 1] += _down2_adj(g1pyr[lev], m, n)
-            g2pyr[lev - 1] += _down2_adj(g2pyr[lev], m, n)
-        return g1pyr[0], g2pyr[0]
+            m, n = levels[lev - 1][0].shape[1:]
+            for fine, coarse in zip(grads[lev - 1], grads[lev]):
+                fine += _down2_adj(coarse, m, n)
+        return grads[0]
 
     def estimate_flow(self, frame1, frame2) -> FlowField:
         """Flow after exactly the configured unrolled updates per level."""

@@ -127,15 +127,6 @@ def _png_encode(samples: np.ndarray, bit_depth: int) -> bytes:
             + _png_chunk(b"IEND", b""))
 
 
-def _paeth(a, b, c):
-    p = a.astype(np.int32) + b - c
-    pa = np.abs(p - a)
-    pb = np.abs(p - b)
-    pc = np.abs(p - c)
-    out = np.where((pa <= pb) & (pa <= pc), a, np.where(pb <= pc, b, c))
-    return out.astype(np.uint8)
-
-
 def _unfilter_sequential(ftype: int, line: list, prior: list, bpp: int) -> list:
     """Undo Average (3) or Paeth (4) on one scanline of Python ints. Each
     byte's predictor reads the reconstructed byte `bpp` to its left, so

@@ -24,6 +24,13 @@ import numpy as np
 
 __all__ = ["LbfgsParams", "OptimTrace", "NumericError", "lbfgs_minimize"]
 
+# Armijo backtracking: each search starts at INITIAL_STEP and multiplies
+# the step by CONTRACTION until the value falls by at least
+# SUFFICIENT_DECREASE times the step's predicted decrease.
+INITIAL_STEP = 1.0
+CONTRACTION = 0.5
+SUFFICIENT_DECREASE = 1e-4
+
 
 class NumericError(ArithmeticError):
     """Non-finite value or gradient; carries the trace accumulated so far."""
@@ -37,9 +44,6 @@ class NumericError(ArithmeticError):
 class LbfgsParams:
     max_steps: int = 20
     history: int = 10
-    initial_step: float = 1.0
-    contraction: float = 0.5
-    sufficient_decrease: float = 1e-4
     grad_tol: float = 0.0
     max_backtracks: int = 40
 
@@ -48,14 +52,8 @@ class LbfgsParams:
             raise ValueError("max_steps must be >= 1")
         if self.history < 0:
             raise ValueError("history must be >= 0")
-        if not (0.0 < self.contraction < 1.0):
-            raise ValueError("contraction must lie in (0, 1)")
-        if not (0.0 < self.sufficient_decrease < 1.0):
-            raise ValueError("sufficient_decrease must lie in (0, 1)")
         if self.grad_tol < 0:
             raise ValueError("grad_tol must be >= 0")
-        if self.initial_step <= 0:
-            raise ValueError("initial_step must be positive")
 
 
 @dataclass
@@ -146,15 +144,15 @@ def lbfgs_minimize(objective, x0, params: LbfgsParams | None = None):
         if slope >= 0.0:  # curvature info unusable; fall back to steepest descent
             d = -g
             slope = -gnorm * gnorm
-        t = params.initial_step
+        t = INITIAL_STEP
         accepted = False
         for rejected in range(params.max_backtracks):
             xn = x + t * d
             fn = value(xn)
-            if fn <= f + params.sufficient_decrease * t * slope:
+            if fn <= f + SUFFICIENT_DECREASE * t * slope:
                 accepted = True
                 break
-            t *= params.contraction
+            t *= CONTRACTION
         if not accepted:
             trace.stop_reason = "line_search"
             break

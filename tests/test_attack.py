@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from flowattack.attack import (BoxConstraint, LossKind, Parametrization,
                                loss_mse, loss_with_grad, pcfa_attack,
                                penalty_value_grad)
 from flowattack.core import PerturbMode, ShapeError, scale_bound
-from flowattack.diffflow import FlowEstimator
+from flowattack.diffflow import FlowEstimator, builtin_estimators
 from flowattack.evaluation import attack_strength
 from flowattack.optim import LbfgsParams, lbfgs_minimize
 from flowattack.synthetic import make_pair
@@ -377,3 +378,49 @@ class TestIfgsm:
         f1, f2, _ = small_pair
         with pytest.raises(ValueError):
             ifgsm_attack(fast_estimator, f1, f2, eps_inf=1e-3, steps=0)
+
+
+def traced_peak(fn):
+    """Peak traced allocation, in bytes, while `fn()` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestOneTapeAtATime:
+    """An attack holds at most one tape: each VJP closure is dropped
+    before the next forward pass builds its tape. The bound is a fifth
+    above one forward pass plus one VJP call; two live tapes exceed it
+    by far (about 1.6x at this grid)."""
+
+    @pytest.fixture(scope="class")
+    def setting(self):
+        estimator = builtin_estimators()["hs-pyr"]
+        f1, f2, _ = make_pair(41, 64, 96, channels=3)
+        cotangent = np.ones((2, 64, 96))
+
+        def one_gradient():
+            _, vjp = estimator.value_and_vjp(f1, f2)
+            vjp(cotangent)
+        return estimator, f1, f2, traced_peak(one_gradient)
+
+    def test_ifgsm(self, setting):
+        estimator, f1, f2, one = setting
+        peak = traced_peak(lambda: ifgsm_attack(estimator, f1, f2, 0.01, steps=3))
+        assert peak < 1.2 * one
+
+    def test_two_pair_objective(self, setting):
+        estimator, f1, f2, one = setting
+        a, b, _ = make_pair(42, 64, 96, channels=3)
+        pairs = [(f1.data, f2.data, np.zeros((2, 64, 96))),
+                 (a.data, b.data, np.zeros((2, 64, 96)))]
+        param = Parametrization(BoxConstraint.CLIPPING, PerturbMode.DISJOINT,
+                                realized=False)
+        fun = PenalizedObjective(estimator, param, pairs, LossKind.AEE,
+                                 eps_hat=1e-2, mu=10.0)
+        x = param.start(*pairs[0][:2])
+        peak = traced_peak(lambda: fun(x))
+        assert peak < 1.2 * one

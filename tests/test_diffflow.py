@@ -32,8 +32,8 @@ class TestPrimitiveAdjoints:
         rng = np.random.default_rng(1)
         x = rng.normal(size=(6, 8))
         g = rng.normal(size=(6, 8))
-        assert np.sum(g * df._nsum(x)) == pytest.approx(
-            np.sum(df._nsum(g) * x), rel=1e-12)
+        assert np.sum(g * _nsum(x)) == pytest.approx(
+            np.sum(_nsum(g) * x), rel=1e-12)
 
     @pytest.mark.parametrize("shape", [(6, 8), (7, 9), (1, 5, 5)])
     def test_down2(self, shape):
@@ -191,7 +191,6 @@ class TestInputGradient:
         must match in exact arithmetic, checked as a dot test."""
         rng = np.random.default_rng(8)
         m, n = 6, 7
-        ncnt = df._ncount(m, n)
         a11 = rng.uniform(0.5, 1.0, (m, n))
         a22 = rng.uniform(0.5, 1.0, (m, n))
         a12 = rng.uniform(-0.2, 0.2, (m, n))
@@ -202,13 +201,11 @@ class TestInputGradient:
         u0 = rng.normal(size=(m, n))
         v0 = rng.normal(size=(m, n))
         zero = np.zeros((m, n))
-        u1, v1, _ = df._jacobi(coeffs, u0, v0, alpha, 1, ncnt)
-        u1z, v1z, tape0 = df._jacobi(coeffs, zero, zero, alpha, 1, ncnt)
+        u1, v1, _ = df._jacobi(coeffs, u0, v0, alpha, 1)
+        u1z, v1z, tape0 = df._jacobi(coeffs, zero, zero, alpha, 1)
         cu = rng.normal(size=(m, n))
         cv = rng.normal(size=(m, n))
-        gu, gv, _ = df._jacobi_adj(cu, cv, coeffs,
-                                   df._jacobi(coeffs, u0, v0, alpha, 1, ncnt)[2],
-                                   alpha, 1)
+        gu, gv, _ = df._jacobi_adj(cu, cv, df._jacobi(coeffs, u0, v0, alpha, 1)[2])
         lhs = np.sum(cu * (u1 - u1z)) + np.sum(cv * (v1 - v1z))
         rhs = np.sum(gu * u0) + np.sum(gv * v0)
         assert lhs == pytest.approx(rhs, rel=1e-13)
@@ -241,6 +238,20 @@ class TestFiniteDiffCheck:
 # solver kernels: byte-equal to the per-grid kernels, exact dot tests
 # ---------------------------------------------------------------------------
 
+def _nsum(a):
+    """Sum over in-bounds 4-neighbors; self-adjoint by symmetry."""
+    s = np.zeros_like(a)
+    s[..., 1:, :] += a[..., :-1, :]
+    s[..., :-1, :] += a[..., 1:, :]
+    s[..., :, 1:] += a[..., :, :-1]
+    s[..., :, :-1] += a[..., :, 1:]
+    return s
+
+
+def _ncount(height, width):
+    return _nsum(np.ones((height, width)))
+
+
 def _reference_jacobi(coeffs, u0, v0, alpha, iters, ncnt):
     """Jacobi sweeps with two `_nsum` calls per sweep and the iterates on
     the tape, the solver's original kernel, kept as the oracle."""
@@ -252,8 +263,8 @@ def _reference_jacobi(coeffs, u0, v0, alpha, iters, ncnt):
     vs = [v0]
     u, v = u0, v0
     for _ in range(iters):
-        r1 = alpha * df._nsum(u) - b1
-        r2 = alpha * df._nsum(v) - b2
+        r1 = alpha * _nsum(u) - b1
+        r2 = alpha * _nsum(v) - b2
         u = (d22 * r1 - a12 * r2) / det
         v = (d11 * r2 - a12 * r1) / det
         us.append(u)
@@ -273,8 +284,8 @@ def _reference_jacobi_adj(gu, gv, coeffs, tape, alpha, iters):
     gu = gu.copy()
     gv = gv.copy()
     for k in range(iters - 1, -1, -1):
-        r1 = alpha * df._nsum(us[k]) - b1
-        r2 = alpha * df._nsum(vs[k]) - b2
+        r1 = alpha * _nsum(us[k]) - b1
+        r2 = alpha * _nsum(vs[k]) - b2
         p = us[k + 1]
         q = vs[k + 1]
         gr1 = (gu * d22 - gv * a12) / det
@@ -284,9 +295,22 @@ def _reference_jacobi_adj(gu, gv, coeffs, tape, alpha, iters):
         ga12 += (gu * (2.0 * a12 * p - r2) + gv * (2.0 * a12 * q - r1)) / det
         gb1 -= gr1
         gb2 -= gr2
-        gu = alpha * df._nsum(gr1)
-        gv = alpha * df._nsum(gr2)
+        gu = alpha * _nsum(gr1)
+        gv = alpha * _nsum(gr2)
     return gu, gv, (ga11, ga12, ga22, gb1, gb2)
+
+
+def _reference_jacobi_taped(coeffs, u0, v0, alpha, iters):
+    """`_reference_jacobi` behind the signature of `df._jacobi`."""
+    ncnt = _ncount(*u0.shape)
+    u, v, tape = _reference_jacobi(coeffs, u0, v0, alpha, iters, ncnt)
+    return u, v, (coeffs, tape, alpha, iters)
+
+
+def _reference_jacobi_adj_taped(gu, gv, tape):
+    """`_reference_jacobi_adj` behind the signature of `df._jacobi_adj`."""
+    coeffs, tape, alpha, iters = tape
+    return _reference_jacobi_adj(gu, gv, coeffs, tape, alpha, iters)
 
 
 def _reference_warp_adj(g, ctx):
@@ -314,6 +338,86 @@ def _reference_warp_adj(g, ctx):
     return g_img, g_u, g_v
 
 
+def _reference_forward(cfg, f1, f2):
+    """The estimator's original forward pass: one level body per `warp`
+    branch, on the reference kernels."""
+    pyr1 = [f1]
+    pyr2 = [f2]
+    for _ in range(cfg.pyramid_levels - 1):
+        pyr1.append(df._down2(pyr1[-1]))
+        pyr2.append(df._down2(pyr2[-1]))
+    levels = [None] * cfg.pyramid_levels
+    u = np.zeros(pyr1[-1].shape[1:])
+    v = np.zeros_like(u)
+    for lev in range(cfg.pyramid_levels - 1, -1, -1):
+        i1 = pyr1[lev]
+        i2 = pyr2[lev]
+        m, n = i1.shape[1:]
+        if lev < cfg.pyramid_levels - 1:
+            u = 2.0 * df._up2(u, m, n)
+            v = 2.0 * df._up2(v, m, n)
+        ncnt = _ncount(m, n)
+        if cfg.warp:
+            if lev < cfg.pyramid_levels - 1:
+                i2eff, wctx = df._warp(i2, u, v)
+            else:
+                i2eff, wctx = i2, None
+            ix, iy, it = df._derivatives(i1, i2eff)
+            coeffs = df._coefficients(ix, iy, it)
+            du, dv, jtape = _reference_jacobi(coeffs, np.zeros((m, n)),
+                                              np.zeros((m, n)), cfg.alpha,
+                                              cfg.iterations, ncnt)
+            levels[lev] = (ix, iy, it, coeffs, jtape, wctx)
+            u = u + du
+            v = v + dv
+        else:
+            ix, iy, it = df._derivatives(i1, i2)
+            coeffs = df._coefficients(ix, iy, it)
+            u, v, jtape = _reference_jacobi(coeffs, u, v, cfg.alpha,
+                                            cfg.iterations, ncnt)
+            levels[lev] = (ix, iy, it, coeffs, jtape, None)
+    return u, v, (pyr1, pyr2, levels)
+
+
+def _reference_backward(cfg, gu, gv, tape):
+    """The adjoint of `_reference_forward`, as the estimator first had it."""
+    pyr1, pyr2, levels = tape
+    g1pyr = [np.zeros_like(a) for a in pyr1]
+    g2pyr = [np.zeros_like(a) for a in pyr2]
+    for lev in range(cfg.pyramid_levels):
+        ix, iy, it, coeffs, jtape, wctx = levels[lev]
+        if cfg.warp:
+            gu_init, gv_init = gu, gv
+            _, _, gcoef = _reference_jacobi_adj(gu, gv, coeffs, jtape, cfg.alpha,
+                                                cfg.iterations)
+            gix, giy, git = df._coefficients_adj(ix, iy, it, *gcoef)
+            g1, g2eff = df._derivatives_adj(gix, giy, git)
+            g1pyr[lev] += g1
+            if wctx is None:
+                g2pyr[lev] += g2eff
+            else:
+                g2, gu_w, gv_w = _reference_warp_adj(g2eff, wctx)
+                g2pyr[lev] += g2
+                gu_init = gu_init + gu_w
+                gv_init = gv_init + gv_w
+        else:
+            gu_init, gv_init, gcoef = _reference_jacobi_adj(
+                gu, gv, coeffs, jtape, cfg.alpha, cfg.iterations)
+            gix, giy, git = df._coefficients_adj(ix, iy, it, *gcoef)
+            g1, g2 = df._derivatives_adj(gix, giy, git)
+            g1pyr[lev] += g1
+            g2pyr[lev] += g2
+        if lev < cfg.pyramid_levels - 1:
+            mc, nc = pyr1[lev + 1].shape[1:]
+            gu = 2.0 * df._up2_adj(gu_init, mc, nc)
+            gv = 2.0 * df._up2_adj(gv_init, mc, nc)
+    for lev in range(cfg.pyramid_levels - 1, 0, -1):
+        m, n = pyr1[lev - 1].shape[1:]
+        g1pyr[lev - 1] += df._down2_adj(g1pyr[lev], m, n)
+        g2pyr[lev - 1] += df._down2_adj(g2pyr[lev], m, n)
+    return g1pyr[0], g2pyr[0]
+
+
 def _random_coeffs(rng, m, n):
     return (rng.uniform(0.5, 1.0, (m, n)), rng.uniform(-0.2, 0.2, (m, n)),
             rng.uniform(0.5, 1.0, (m, n)), rng.normal(0, 0.1, (m, n)),
@@ -335,16 +439,16 @@ class TestKernelOracles:
         rng = np.random.default_rng(10)
         m, n = shape
         coeffs = _random_coeffs(rng, m, n)
-        ncnt = df._ncount(m, n)
+        ncnt = _ncount(m, n)
         if start == "zero":
             u0, v0 = np.zeros((m, n)), np.zeros((m, n))
         else:
             u0, v0 = rng.normal(size=(2, m, n))
-        u, v, tape = df._jacobi(coeffs, u0, v0, 0.07, iters, ncnt)
+        u, v, tape = df._jacobi(coeffs, u0, v0, 0.07, iters)
         ur, vr, tape_r = _reference_jacobi(coeffs, u0, v0, 0.07, iters, ncnt)
         assert _same_bytes((u, v), (ur, vr))
         cu, cv = rng.normal(size=(2, m, n))
-        gu, gv, gc = df._jacobi_adj(cu, cv, coeffs, tape, 0.07, iters)
+        gu, gv, gc = df._jacobi_adj(cu, cv, tape)
         gur, gvr, gcr = _reference_jacobi_adj(cu, cv, coeffs, tape_r, 0.07, iters)
         assert _same_bytes((gu, gv) + tuple(gc), (gur, gvr) + tuple(gcr))
 
@@ -360,11 +464,11 @@ class TestKernelOracles:
             a[1:8, 1:8] = -0.0
         b1[1:8, 1:8] = b2[1:8, 1:8] = 0.0
         coeffs = (a11, -np.abs(a12), a22, b1, b2)
-        ncnt = df._ncount(m, n)
-        u, v, tape = df._jacobi(coeffs, u0, v0, 0.05, iters, ncnt)
+        ncnt = _ncount(m, n)
+        u, v, tape = df._jacobi(coeffs, u0, v0, 0.05, iters)
         ur, vr, tape_r = _reference_jacobi(coeffs, u0, v0, 0.05, iters, ncnt)
         assert _same_bytes((u, v), (ur, vr))
-        gu, gv, gc = df._jacobi_adj(cu, cv, coeffs, tape, 0.05, iters)
+        gu, gv, gc = df._jacobi_adj(cu, cv, tape)
         gur, gvr, gcr = _reference_jacobi_adj(cu, cv, coeffs, tape_r, 0.05, iters)
         assert _same_bytes((gu, gv) + tuple(gc), (gur, gvr) + tuple(gcr))
 
@@ -386,11 +490,34 @@ class TestKernelOracles:
         cotangent = np.random.default_rng(13).normal(size=(2, 24, 28))
         flow, vjp = est.value_and_vjp(f1, f2)
         grads = vjp(cotangent)
-        monkeypatch.setattr(df, "_jacobi", _reference_jacobi)
-        monkeypatch.setattr(df, "_jacobi_adj", _reference_jacobi_adj)
+        monkeypatch.setattr(df, "_jacobi", _reference_jacobi_taped)
+        monkeypatch.setattr(df, "_jacobi_adj", _reference_jacobi_adj_taped)
         monkeypatch.setattr(df, "_warp_adj", _reference_warp_adj)
         flow_r, vjp_r = est.value_and_vjp(f1, f2)
         assert _same_bytes((flow,) + tuple(grads), (flow_r,) + tuple(vjp_r(cotangent)))
+
+
+class TestOrchestrationOracle:
+    """The estimator's level loops reproduce the original two-branch loops
+    on the reference kernels, byte for byte, flow and VJP."""
+
+    @pytest.mark.parametrize("config", [
+        builtin_estimators()["hs"].config,
+        builtin_estimators()["hs-pyr"].config,
+        EstimatorConfig(alpha=0.03, iterations=9, pyramid_levels=2, warp=False),
+        EstimatorConfig(alpha=0.08, iterations=7, pyramid_levels=3, warp=False),
+        EstimatorConfig(alpha=0.05, iterations=11, pyramid_levels=1, warp=True),
+        EstimatorConfig(alpha=0.02, iterations=8, pyramid_levels=2, warp=True),
+    ], ids=["hs", "hs-pyr", "levels2", "levels3", "warp-levels1", "warp-levels2"])
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_flow_and_vjp_bytes(self, config, channels):
+        f1, f2, _ = make_pair(18, 23, 29, channels=channels)
+        cotangent = np.random.default_rng(19).normal(size=(2, 23, 29))
+        flow, vjp = FlowEstimator(config).value_and_vjp(f1, f2)
+        grads = vjp(cotangent)
+        u, v, tape = _reference_forward(config, f1.data, f2.data)
+        grads_r = _reference_backward(config, cotangent[0], cotangent[1], tape)
+        assert _same_bytes((flow,) + tuple(grads), (np.stack([u, v]),) + grads_r)
 
 
 class TestExactDotProducts:
@@ -400,12 +527,10 @@ class TestExactDotProducts:
         rng = np.random.default_rng(14)
         m, n, iters, alpha = 23, 31, 60, 0.05
         a11, a12, a22, _, _ = _random_coeffs(rng, m, n)
-        ncnt = df._ncount(m, n)
         u0, v0, b1, b2 = rng.normal(size=(4, m, n))
-        u, v, tape = df._jacobi((a11, a12, a22, b1, b2), u0, v0, alpha, iters, ncnt)
+        u, v, tape = df._jacobi((a11, a12, a22, b1, b2), u0, v0, alpha, iters)
         cu, cv = rng.normal(size=(2, m, n))
-        gu, gv, (_, _, _, gb1, gb2) = df._jacobi_adj(
-            cu, cv, (a11, a12, a22, b1, b2), tape, alpha, iters)
+        gu, gv, (_, _, _, gb1, gb2) = df._jacobi_adj(cu, cv, tape)
         lhs = np.sum(cu * u) + np.sum(cv * v)
         rhs = (np.sum(gu * u0) + np.sum(gv * v0)
                + np.sum(gb1 * b1) + np.sum(gb2 * b2))

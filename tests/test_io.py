@@ -153,8 +153,7 @@ class TestPngCodec:
                 elif ftype == 3:
                     pred = (left + up) // 2
                 else:
-                    pred = int(flowio._paeth(np.uint8(left), np.uint8(up),
-                                             np.uint8(ul)))
+                    pred = int(_paeth(np.uint8(left), np.uint8(up), np.uint8(ul)))
                 filtered[i] = (int(line[i]) - pred) % 256
             raw.append(ftype)
             raw += filtered.tobytes()
@@ -272,6 +271,17 @@ class TestPerturbationFile:
 # PNG decoder: bit-exact against the per-byte unfilter, hostile input
 # ---------------------------------------------------------------------------
 
+def _paeth(a, b, c):
+    """The PNG Paeth predictor of one byte from its left, up and up-left
+    neighbours."""
+    p = a.astype(np.int32) + b - c
+    pa = np.abs(p - a)
+    pb = np.abs(p - b)
+    pc = np.abs(p - c)
+    out = np.where((pa <= pb) & (pa <= pc), a, np.where(pb <= pc, b, c))
+    return out.astype(np.uint8)
+
+
 def _reference_unfilter(flat, bpp):
     """Per-byte scanline unfilter on numpy scalars, the decoder's original
     loop, kept as the oracle for the vectorized one. flat: rows x
@@ -297,8 +307,7 @@ def _reference_unfilter(flat, bpp):
                 elif ftype == 3:
                     pred = (int(left) + int(up)) // 2
                 else:
-                    pred = int(flowio._paeth(np.uint8(left), np.uint8(up),
-                                             np.uint8(ul)))
+                    pred = int(_paeth(np.uint8(left), np.uint8(up), np.uint8(ul)))
                 rec[i] = (int(line[i]) + pred) % 256
             line = rec
         else:

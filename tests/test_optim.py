@@ -169,10 +169,6 @@ def test_param_validation():
     with pytest.raises(ValueError):
         LbfgsParams(max_steps=0)
     with pytest.raises(ValueError):
-        LbfgsParams(contraction=1.0)
-    with pytest.raises(ValueError):
-        LbfgsParams(sufficient_decrease=0.0)
-    with pytest.raises(ValueError):
         LbfgsParams(grad_tol=-1.0)
 
 
