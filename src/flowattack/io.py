@@ -88,6 +88,8 @@ def read_flo(path) -> FlowField:
                          f"({len(raw)} bytes, expected {expected})")
     interleaved = np.frombuffer(raw[12:expected], dtype="<f4").reshape(
         height, width, 2)
+    if not np.all(np.isfinite(interleaved)):
+        raise FormatError(f"{path}: flow payload holds non-finite values")
     return FlowField(np.stack([interleaved[..., 0], interleaved[..., 1]]).astype(
         np.float64))
 
@@ -307,11 +309,14 @@ def _read_ppm(raw: bytes, path) -> Image:
         while pos < len(raw) and not raw[pos:pos + 1].isspace():
             pos += 1
         token = raw[start:pos]
-        if not token.isdigit():
+        # no file holds 10**12 pixels, and int() rejects very long tokens
+        if not token.isdigit() or len(token) > 12:
             raise FormatError(f"{path}: malformed PPM header")
         fields.append(int(token))
     pos += 1  # single whitespace after maxval
     width, height, maxval = fields
+    if width == 0 or height == 0:
+        raise FormatError(f"{path}: invalid PPM dimensions {width}x{height}")
     if not (0 < maxval < 256):
         raise FormatError(f"{path}: only 8-bit P6 supported (maxval {maxval})")
     need = width * height * 3
@@ -319,6 +324,8 @@ def _read_ppm(raw: bytes, path) -> Image:
     if len(body) < need:
         raise FormatError(f"{path}: truncated PPM pixel data")
     pixels = np.frombuffer(body, dtype=np.uint8).reshape(height, width, 3)
+    if pixels.max() > maxval:
+        raise FormatError(f"{path}: PPM sample above maxval {maxval}")
     return Image(np.moveaxis(pixels, 2, 0).astype(np.float64) / maxval)
 
 

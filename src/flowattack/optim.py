@@ -8,6 +8,13 @@ values and nothing else, so trial steps never pay for a gradient. The
 starting point and each accepted point are evaluated with the gradient;
 an accepted point is thus evaluated twice, once per kind of call.
 
+Each search starts from the scale of the last accepted step, not from
+scratch: on the attack objective accepted steps shrink to 1e-4..1e-11,
+so a search that restarted at the unit step would spend most of its
+trials rediscovering that scale (Nocedal & Wright, Numerical
+Optimization, sec. 3.5). The first search of a call has no previous
+step and starts at the unit step.
+
 Armijo-only backtracking is used on purpose: the attack objective
 is nonsmooth at the budget boundary, and curvature conditions reject
 useful steps near such kinks. Setting history to 0 degenerates into plain
@@ -24,9 +31,11 @@ import numpy as np
 
 __all__ = ["LbfgsParams", "OptimTrace", "NumericError", "lbfgs_minimize"]
 
-# Armijo backtracking: each search starts at INITIAL_STEP and multiplies
-# the step by CONTRACTION until the value falls by at least
-# SUFFICIENT_DECREASE times the step's predicted decrease.
+# Armijo backtracking: the first search of a call starts at INITIAL_STEP,
+# every later one at min(INITIAL_STEP, t_prev / CONTRACTION**2) with t_prev
+# the last accepted step, so a search may grow the step by two contractions.
+# Each trial multiplies the step by CONTRACTION until the value falls by at
+# least SUFFICIENT_DECREASE times the step's predicted decrease.
 INITIAL_STEP = 1.0
 CONTRACTION = 0.5
 SUFFICIENT_DECREASE = 1e-4
@@ -102,6 +111,9 @@ def lbfgs_minimize(objective, x0, params: LbfgsParams | None = None):
     start and every accepted point call objective(x) for the gradient.
     The objective must return the same value from both kinds of call.
 
+    Each search after the first starts near the last accepted step (see
+    INITIAL_STEP); nothing carries over between calls.
+
     Stops at max_steps, when the gradient norm falls to grad_tol, or when
     no backtracked step achieves sufficient decrease (a kink); the trace
     records which. Objective values along accepted steps are strictly
@@ -130,6 +142,7 @@ def lbfgs_minimize(objective, x0, params: LbfgsParams | None = None):
     f, g = evaluate(x)
     trace.initial_value = f
     pairs = deque(maxlen=params.history) if params.history > 0 else None
+    t_start = INITIAL_STEP
 
     for _ in range(params.max_steps):
         gnorm = float(np.linalg.norm(g))
@@ -144,7 +157,7 @@ def lbfgs_minimize(objective, x0, params: LbfgsParams | None = None):
         if slope >= 0.0:  # curvature info unusable; fall back to steepest descent
             d = -g
             slope = -gnorm * gnorm
-        t = INITIAL_STEP
+        t = t_start
         accepted = False
         for rejected in range(params.max_backtracks):
             xn = x + t * d
@@ -173,5 +186,6 @@ def lbfgs_minimize(objective, x0, params: LbfgsParams | None = None):
         trace.grad_norms.append(float(np.linalg.norm(g)))
         trace.step_lengths.append(t)
         trace.backtracks.append(rejected)
+        t_start = min(INITIAL_STEP, t / CONTRACTION ** 2)
 
     return x, trace

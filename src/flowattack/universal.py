@@ -48,16 +48,21 @@ class DatasetManifest:
         from pathlib import Path
         base = Path(path).parent
         entries = []
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                parts = line.split()
-                if not parts or parts[0].startswith("#"):
-                    continue
-                if len(parts) not in (2, 3):
-                    raise ValueError(f"manifest line needs 2 or 3 paths: {line!r}")
-                paths = [str(base / p) for p in parts]
-                entries.append(tuple(paths) if len(paths) == 3
-                               else (paths[0], paths[1], None))
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise flowio.FormatError(f"{path}: manifest is not UTF-8: {exc}") from None
+        for line in lines:
+            parts = line.split()
+            if not parts or parts[0].startswith("#"):
+                continue
+            if len(parts) not in (2, 3):
+                raise flowio.FormatError(
+                    f"{path}: manifest line needs 2 or 3 paths: {line!r}")
+            paths = [str(base / p) for p in parts]
+            entries.append(tuple(paths) if len(paths) == 3
+                           else (paths[0], paths[1], None))
         return DatasetManifest(entries)
 
     @staticmethod
@@ -91,7 +96,7 @@ class DatasetManifest:
                 raise ShapeError("frames of a pair differ in shape")
             loaded.append((f1, f2, gt))
         if not loaded:
-            raise ValueError(f"no readable pairs ({skipped} skipped)")
+            raise flowio.FormatError(f"no readable pairs ({skipped} skipped)")
         return loaded
 
 
@@ -133,6 +138,12 @@ def train_universal(estimator: FlowEstimator, data: DatasetManifest,
     shared penalty term on the perturbation itself (there is only one
     perturbation, so the budget term is not averaged). The same seed
     reproduces the shuffle and hence the exact result.
+
+    Every batch is a new objective on other pairs, so it gets a fresh
+    `lbfgs_minimize` call: no curvature memory and no line-search scale
+    carry over, and its first search starts at the unit step. Only the
+    steps within one batch start their searches from the last accepted
+    step, so at one step per batch every search starts at the unit step.
     """
     pairs = data.load_pairs()
     atk = cfg.attack

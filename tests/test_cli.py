@@ -102,6 +102,30 @@ class TestAttackCommand:
         code = run(["--out", tmp_path / "out", "attack", "--frames", bad1, bad2])
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["attack", "universal"])
+    @pytest.mark.parametrize("blob", [b"a.png b.png c.flo d.png\n",
+                                      b"\xff\xfe a.png b.png\n"])
+    def test_malformed_manifest_is_io_error(self, tmp_path, capsys, command,
+                                            blob):
+        manifest = tmp_path / "pairs.txt"
+        manifest.write_bytes(blob)
+        out = tmp_path / "out"
+        assert run(["--out", out, command, "--manifest", manifest]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error:") and "Traceback" not in err
+        assert not out.exists()
+
+    def test_unreadable_universal_pairs_are_io_error(self, tmp_path, capsys):
+        for name in ("a.ppm", "b.ppm"):
+            (tmp_path / name).write_bytes(b"P6 0 5 255 ")
+        manifest = tmp_path / "pairs.txt"
+        manifest.write_text("a.ppm b.ppm\n")
+        with pytest.warns(UserWarning):
+            code = run(["--out", tmp_path / "out", "universal",
+                        "--manifest", manifest])
+        assert code == 2
+        assert "no readable pairs" in capsys.readouterr().err
+
     def test_ifgsm_method(self, tmp_path, tiny_manifest):
         out = tmp_path / "out"
         code = run(["--out", out, "--deterministic", "attack", "--manifest",

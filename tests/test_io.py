@@ -6,7 +6,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowattack import io as flowio
@@ -57,6 +57,14 @@ class TestFlo:
         path.write_bytes(struct.pack("<fii", flowio.FLO_MAGIC, -1, 4))
         with pytest.raises(flowio.FormatError):
             flowio.read_flo(path)
+
+    def test_nonfinite_payload_rejected(self, tmp_path):
+        for bad in (np.nan, np.inf):
+            path = tmp_path / "bad.flo"
+            path.write_bytes(struct.pack("<fii", flowio.FLO_MAGIC, 1, 1)
+                             + np.array([bad, 0.0], dtype="<f4").tobytes())
+            with pytest.raises(flowio.FormatError):
+                flowio.read_flo(path)
 
 
 class TestKittiFlow:
@@ -195,6 +203,15 @@ class TestPpm:
     def test_16bit_ppm_rejected(self, tmp_path):
         path = tmp_path / "deep.ppm"
         path.write_bytes(b"P6\n1 1\n65535\n\x00\x00\x00\x00\x00\x00")
+        with pytest.raises(flowio.FormatError):
+            flowio.read_image(path)
+
+    @pytest.mark.parametrize("blob", [b"P6 0 5 255 ", b"P6 5 0 255 ",
+                                      b"P6 1 1 1 \xff\x00\x00",
+                                      b"P6 " + b"9" * 5000 + b" 1 255 "])
+    def test_hostile_input_rejected(self, tmp_path, blob):
+        path = tmp_path / "bad.ppm"
+        path.write_bytes(blob)
         with pytest.raises(flowio.FormatError):
             flowio.read_image(path)
 
@@ -487,6 +504,106 @@ class TestPngFuzz:
         else:
             idat = zlib.compress(_mutate(flat.tobytes(), mutations))
         _decodes_or_format_error(_png(ihdr, idat))
+
+
+# every hostile-file example must finish well inside this bound
+_BOUNDED = settings(deadline=500)
+
+
+def _hostile_file(tmp_path_factory, name, data):
+    path = tmp_path_factory.mktemp("hostile") / name
+    path.write_bytes(data)
+    return path
+
+
+_FLO_VALUES = st.floats(width=32, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _small_flows(draw):
+    height = draw(st.integers(1, 4))
+    width = draw(st.integers(1, 4))
+    values = draw(st.lists(_FLO_VALUES, min_size=2 * height * width,
+                           max_size=2 * height * width))
+    return np.array(values, dtype=np.float32).reshape(2, height, width)
+
+
+class TestFloFuzz:
+    @_BOUNDED
+    @given(_small_flows())
+    def test_roundtrip(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("flo") / "f.flo"
+        flowio.write_flo(path, FlowField(data.astype(np.float64)))
+        assert np.array_equal(flowio.read_flo(path).data, data)
+
+    @_BOUNDED
+    @given(_small_flows(), _MUTATIONS)
+    def test_mutated_file(self, tmp_path_factory, data, mutations):
+        path = tmp_path_factory.mktemp("flo") / "f.flo"
+        flowio.write_flo(path, FlowField(data.astype(np.float64)))
+        path.write_bytes(_mutate(path.read_bytes(), mutations))
+        _flo_or_format_error(path)
+
+    @_BOUNDED
+    @given(st.binary(max_size=64), st.booleans())
+    def test_arbitrary_bytes(self, tmp_path_factory, blob, magic):
+        head = struct.pack("<f", flowio.FLO_MAGIC) if magic else b""
+        _flo_or_format_error(_hostile_file(tmp_path_factory, "f.flo", head + blob))
+
+
+def _flo_or_format_error(path):
+    try:
+        flow = flowio.read_flo(path)
+    except flowio.FormatError:
+        return
+    assert flow.data.ndim == 3 and flow.data.shape[0] == 2
+    assert 12 + 4 * flow.data.size <= path.stat().st_size
+
+
+def _ppm(pixels, maxval=255, header=b"P6\n%d %d\n%d\n"):
+    _, height, width = pixels.shape
+    return header % (width, height, maxval) + np.moveaxis(pixels, 0, 2).tobytes()
+
+
+@st.composite
+def _small_ppms(draw):
+    height = draw(st.integers(1, 4))
+    width = draw(st.integers(1, 4))
+    maxval = draw(st.integers(1, 255))
+    samples = draw(st.lists(st.integers(0, maxval), min_size=3 * height * width,
+                            max_size=3 * height * width))
+    return np.array(samples, dtype=np.uint8).reshape(3, height, width), maxval
+
+
+def _image_or_format_error(path):
+    try:
+        image = flowio.read_image(path)
+    except flowio.FormatError:
+        return
+    assert image.data.ndim == 3 and image.data.shape[0] in (1, 3)
+
+
+class TestPpmFuzz:
+    @_BOUNDED
+    @given(_small_ppms(), st.sampled_from([b"P6\n%d %d\n%d\n",
+                                           b"P6 %d\t%d # c\n%d "]))
+    def test_roundtrip(self, tmp_path_factory, ppm, header):
+        pixels, maxval = ppm
+        path = _hostile_file(tmp_path_factory, "i.ppm",
+                             _ppm(pixels, maxval, header))
+        assert np.array_equal(flowio.read_image(path).data, pixels / maxval)
+
+    @_BOUNDED
+    @given(_small_ppms(), _MUTATIONS)
+    def test_mutated_file(self, tmp_path_factory, ppm, mutations):
+        blob = _mutate(_ppm(*ppm), mutations)
+        _image_or_format_error(_hostile_file(tmp_path_factory, "i.ppm", blob))
+
+    @_BOUNDED
+    @given(st.binary(max_size=48))
+    def test_arbitrary_header(self, tmp_path_factory, blob):
+        _image_or_format_error(_hostile_file(tmp_path_factory, "i.ppm",
+                                             b"P6" + blob))
 
 
 class TestPerturbationFileHostile:

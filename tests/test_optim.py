@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from flowattack.optim import LbfgsParams, NumericError, lbfgs_minimize
+from flowattack.optim import CONTRACTION, INITIAL_STEP, LbfgsParams, \
+    NumericError, lbfgs_minimize
 
 
 def quadratic(center):
@@ -203,3 +204,61 @@ def test_backtracks_record_rejected_trials():
                               np.array([4.0]), LbfgsParams(max_steps=1, history=0))
     assert trace.backtracks == [1]
     assert trace.step_lengths == [0.5]
+
+
+def _searches(fun, x0, params):
+    """Run lbfgs_minimize with a spy; returns the trace and, per accepted
+    step, (start point, first trial, accepted point)."""
+    calls = []
+
+    def spy(x, grad=True):
+        calls.append((grad, x.copy()))
+        return fun(x, grad)
+
+    _, trace = lbfgs_minimize(spy, x0, params)
+    starts = [i for i, (grad, _) in enumerate(calls) if grad]
+    steps = [(calls[a][1], calls[a + 1][1], calls[b][1])
+             for a, b in zip(starts, starts[1:])]
+    return trace, steps
+
+
+@pytest.mark.parametrize("history", [0, 10])
+def test_search_starts_from_last_accepted_step(history):
+    params = LbfgsParams(max_steps=30, history=history)
+    trace, steps = _searches(rosenbrock, np.array([-1.2, 1.0]), params)
+    assert len(steps) == len(trace) == 30
+    expected = [INITIAL_STEP] + [min(INITIAL_STEP, t / CONTRACTION ** 2)
+                                 for t in trace.step_lengths[:-1]]
+    assert min(expected) < INITIAL_STEP  # the warm start is exercised
+    for (x, first, accepted), t, t0 in zip(steps, trace.step_lengths, expected):
+        # every trial of a search lies on x + t*d, so the first one sits at
+        # t0*d where d = (accepted - x) / t
+        assert np.allclose((first - x) * t, (accepted - x) * t0,
+                           rtol=1e-12, atol=1e-15)
+
+
+def _stiff_quadratic(x, grad=True):
+    # curvatures 0.5e6..1e6: steepest descent accepts steps near 1e-6
+    scale = np.linspace(0.5e6, 1e6, x.size)
+    return 0.5 * float(np.dot(scale * x, x)), scale * x
+
+
+def test_warm_start_saves_backtracks_on_small_steps():
+    x0 = np.linspace(1.0, 2.0, 8)
+    params = LbfgsParams(max_steps=20, history=0)
+    x, trace = lbfgs_minimize(_stiff_quadratic, x0, params)
+    assert trace.stop_reason == "max_steps"
+    assert len(trace) == 20
+    assert all(1e-7 < t < 1e-5 for t in trace.step_lengths)
+
+    # one call per step restarts every search at INITIAL_STEP
+    restart_evals = 0
+    xr = x0
+    for _ in range(20):
+        xr, tr = lbfgs_minimize(_stiff_quadratic, xr,
+                                LbfgsParams(max_steps=1, history=0))
+        assert tr.stop_reason == "max_steps"
+        restart_evals += tr.value_evals
+    assert trace.value_evals <= restart_evals // 2
+    # here the warm start skips only trials a restart would reject
+    assert np.array_equal(x, xr)

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowattack import io as flowio
+from flowattack import universal
 from flowattack.attack import BoxConstraint, LossKind, PcfaConfig, pcfa_attack
 from flowattack.core import (Image, PerturbMode, ShapeError, joint_l2_norm,
                              scale_bound)
+from flowattack.optim import INITIAL_STEP, lbfgs_minimize
 from flowattack.synthetic import make_pair, make_suite
 from flowattack.universal import (DatasetManifest, UniversalTrainConfig,
                                   apply_universal, train_universal)
@@ -117,6 +121,45 @@ class TestManifest:
         with pytest.raises(ValueError):
             DatasetManifest.from_file(manifest)
 
+    @pytest.mark.parametrize("blob", [b"a b c d\n", b"\xff\xfe a b\n"])
+    def test_malformed_is_format_error(self, tmp_path, blob):
+        path = tmp_path / "pairs.txt"
+        path.write_bytes(blob)
+        with pytest.raises(flowio.FormatError):
+            DatasetManifest.from_file(path)
+
+
+_TOKENS = st.text(st.characters(codec="utf-8", exclude_categories=["Cs"]),
+                  min_size=1, max_size=8).filter(
+    lambda t: len(t.split()) == 1 and t == t.split()[0] and t[0] != "#")
+
+
+class TestManifestFuzz:
+    @settings(deadline=500)
+    @given(st.lists(st.lists(_TOKENS, min_size=2, max_size=3), max_size=4),
+           st.sampled_from(["\n", "\r\n"]))
+    def test_roundtrip(self, tmp_path_factory, lines, newline):
+        root = tmp_path_factory.mktemp("manifest")
+        path = root / "pairs.txt"
+        path.write_bytes("".join(" ".join(line) + newline
+                                 for line in lines).encode("utf-8"))
+        expected = [tuple(str(root / t) for t in line) + (None,) * (3 - len(line))
+                    for line in lines]
+        assert DatasetManifest.from_file(path).entries == expected
+
+    @settings(deadline=500)
+    @given(st.binary(max_size=64))
+    def test_arbitrary_bytes(self, tmp_path_factory, blob):
+        path = tmp_path_factory.mktemp("manifest") / "pairs.txt"
+        path.write_bytes(blob)
+        try:
+            manifest = DatasetManifest.from_file(path)
+        except flowio.FormatError:
+            return
+        for entry in manifest.entries:
+            assert len(entry) == 3
+            assert all(isinstance(p, str) for p in entry[:2])
+
 
 class TestTrainUniversal:
     def test_single_pair_matches_frame_specific(self, fast_estimator):
@@ -166,3 +209,37 @@ class TestTrainUniversal:
         assert pert.mode == PerturbMode.DISJOINT
         assert pert.second is not None
         assert joint_l2_norm(pert) <= 1.01 * scale_bound(5e-3, 24 * 24, 1)
+
+    @pytest.mark.parametrize("steps", [1, 2])
+    def test_each_batch_starts_its_line_search_fresh(self, fast_estimator,
+                                                     monkeypatch, steps):
+        """Each batch is a new objective, so its optimizer call starts the
+        line search at INITIAL_STEP; the warm start acts only between the
+        steps of one batch. At one step per batch it never acts."""
+        searches = []
+
+        def recording(objective, x0, params):
+            points = []
+
+            def spy(x, grad=True):
+                points.append(x.copy())
+                return objective(x, grad)
+
+            x, trace = lbfgs_minimize(spy, x0, params)
+            searches.append((points, trace))
+            return x, trace
+
+        monkeypatch.setattr(universal, "lbfgs_minimize", recording)
+        suite = make_suite(3, seed=7, height=24, width=24)
+        data = DatasetManifest.from_pairs([(a, b) for a, b, _ in suite])
+        train_universal(fast_estimator, data, UniversalTrainConfig(
+            attack=joint_cfg(seed=9), epochs=2, batch_size=2,
+            steps_per_batch=steps))
+        assert len(searches) == 4
+        for points, trace in searches:
+            assert len(trace) == steps
+            x0, first = points[0], points[1]
+            accepted = points[trace.backtracks[0] + 1]
+            t = trace.step_lengths[0]
+            assert np.allclose((first - x0) * t, (accepted - x0) * INITIAL_STEP,
+                               rtol=1e-12, atol=1e-18)
