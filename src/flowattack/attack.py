@@ -115,14 +115,27 @@ class PcfaConfig:
             raise ValueError("the change-of-variables box constraint only "
                              "supports disjoint perturbations")
 
+    def budget(self, shape) -> tuple[float, float]:
+        """(eps_hat, mu) for frames of `shape` (C, M, N): the scaled L2
+        bound and the penalty weight, the default pairing when mu is None."""
+        channels, height, width = shape
+        eps_hat = scale_bound(self.epsilon2, height * width, channels)
+        mu = self.mu if self.mu is not None else default_mu(
+            self.loss, self.target.kind, self.epsilon2)
+        return eps_hat, mu
+
 
 @dataclass
 class AttackResult:
+    """An attack's outcome; `target` is the flow it aimed at, resolved
+    once against `flow_init`."""
+
     perturbation: Perturbation
     frame1_adv: Image
     frame2_adv: Image
     flow_init: FlowField
     flow_adv: FlowField
+    target: FlowField
     trace: OptimTrace
     l2_norm: float
     linf_norm: float
@@ -424,38 +437,37 @@ class PcfaProblem:
 
     `fun` maps the flat variable vector to (value, gradient) and records
     the box extremes; `fun.param.apply` recovers (delta1, delta2,
-    perturbed1, perturbed2) arrays from it.
+    perturbed1, perturbed2) arrays from it, and `fun.pairs[0]` holds the
+    frames and the resolved target.
     """
 
     fun: PenalizedObjective
     x0: np.ndarray
     flow_init: FlowField
-    target: np.ndarray
+
+
+def _setup_pair(estimator: FlowEstimator, frame1, frame2, target: Target):
+    """Validate a frame pair, predict its unattacked flow and freeze the
+    target against it: (frame1 array, frame2 array, flow_init, target)."""
+    img1 = _as_image(frame1)
+    img2 = _as_image(frame2)
+    flow_init = estimator.estimate_flow(img1, img2)
+    return img1.data, img2.data, flow_init, target.resolve(flow_init.data)
 
 
 def build_problem(estimator: FlowEstimator, frame1, frame2,
                   cfg: PcfaConfig) -> PcfaProblem:
-    img1 = _as_image(frame1)
-    img2 = _as_image(frame2)
-    if img1.data.shape != img2.data.shape:
-        raise ShapeError(f"frame shapes differ: {img1.data.shape} vs {img2.data.shape}")
-    i1 = img1.data
-    i2 = img2.data
-    flow_init = estimator.estimate_flow(img1, img2)
-    target = cfg.target.resolve(flow_init.data)
-    eps_hat = scale_bound(cfg.epsilon2, img1.pixels, img1.channels)
-    mu = cfg.mu if cfg.mu is not None else default_mu(cfg.loss, cfg.target.kind,
-                                                      cfg.epsilon2)
+    i1, i2, flow_init, target = _setup_pair(estimator, frame1, frame2, cfg.target)
+    eps_hat, mu = cfg.budget(i1.shape)
     param = Parametrization(cfg.box, cfg.mode,
                             realized=cfg.mode == PerturbMode.DISJOINT)
     fun = PenalizedObjective(estimator, param, [(i1, i2, target)], cfg.loss,
                              eps_hat, mu)
-    return PcfaProblem(fun=fun, x0=param.start(i1, i2), flow_init=flow_init,
-                       target=target)
+    return PcfaProblem(fun=fun, x0=param.start(i1, i2), flow_init=flow_init)
 
 
 def _attack_result(estimator, mode: PerturbMode, d1, d2, p1, p2,
-                   flow_init: FlowField, trace: OptimTrace, box_seen,
+                   flow_init: FlowField, target, trace: OptimTrace, box_seen,
                    eps_hat=None, mu=None) -> AttackResult:
     """Package final fields and frames; re-estimates the adversarial flow."""
     adv1 = Image(p1)
@@ -470,6 +482,7 @@ def _attack_result(estimator, mode: PerturbMode, d1, d2, p1, p2,
         frame2_adv=adv2,
         flow_init=flow_init,
         flow_adv=estimator.estimate_flow(adv1, adv2),
+        target=FlowField(target),
         trace=trace,
         l2_norm=joint_l2_norm(pert),
         linf_norm=float(max(np.abs(pert.first).max(),
@@ -494,10 +507,10 @@ def pcfa_attack(estimator: FlowEstimator, frame1, frame2,
     fun = problem.fun
     params = LbfgsParams(max_steps=cfg.steps)
     x, trace = lbfgs_minimize(fun, problem.x0, params)
-    i1, i2, _ = fun.pairs[0]
+    i1, i2, target = fun.pairs[0]
     return _attack_result(estimator, cfg.mode, *fun.param.apply(x, i1, i2),
-                          problem.flow_init, trace, (fun.box_min, fun.box_max),
-                          fun.eps_hat, fun.mu)
+                          problem.flow_init, target, trace,
+                          (fun.box_min, fun.box_max), fun.eps_hat, fun.mu)
 
 
 def ifgsm_attack(estimator: FlowEstimator, frame1, frame2, eps_inf: float,
@@ -514,14 +527,7 @@ def ifgsm_attack(estimator: FlowEstimator, frame1, frame2, eps_inf: float,
         raise ValueError("steps must be >= 1")
     if eps_inf < 0:
         raise ValueError("eps_inf must be non-negative")
-    img1 = _as_image(frame1)
-    img2 = _as_image(frame2)
-    if img1.data.shape != img2.data.shape:
-        raise ShapeError(f"frame shapes differ: {img1.data.shape} vs {img2.data.shape}")
-    i1 = img1.data
-    i2 = img2.data
-    flow_init = estimator.estimate_flow(img1, img2)
-    tgt = target.resolve(flow_init.data)
+    i1, i2, flow_init, tgt = _setup_pair(estimator, frame1, frame2, target)
     grad_fn = _LOSS_GRADS[LossKind(loss)]
     step = eps_inf / steps
     trace = OptimTrace(grad_evals=steps)
@@ -541,6 +547,6 @@ def ifgsm_attack(estimator: FlowEstimator, frame1, frame2, eps_inf: float,
         trace.step_lengths.append(step)
         del vjp  # its tape, before the next step's forward builds one
     return _attack_result(estimator, PerturbMode.DISJOINT, p1 - i1, p2 - i2,
-                          p1, p2, flow_init, trace,
+                          p1, p2, flow_init, tgt, trace,
                           (float(min(p1.min(), p2.min())),
                            float(max(p1.max(), p2.max()))))

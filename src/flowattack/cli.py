@@ -4,7 +4,7 @@ Configuration comes from a flat INI-style file (sections in brackets,
 key = value lines) overridden by command-line flags; unknown keys or
 sections are rejected rather than ignored. Every run writes the resolved
 configuration next to its results. Exit codes: 0 success, 1 usage,
-2 I/O, 3 numeric failure.
+2 I/O or inputs on mismatched grids, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 from . import io as flowio
 from .attack import (AttackResult, BoxConstraint, LossKind, PcfaConfig, Target,
                      TargetKind, ifgsm_attack, loss_with_grad, pcfa_attack)
-from .core import FlowField, PerturbMode, joint_l2_norm
+from .core import PerturbMode, ShapeError, joint_l2_norm
 from .diffflow import EstimatorConfig, FlowEstimator, builtin_estimators, \
     finite_diff_check
 from .evaluation import AttackReport, TraceSummary, attack_strength, \
@@ -165,8 +165,7 @@ def _merge_cli(config: dict, args, section: str, keys: dict[str, str]):
 
 def _report_from_result(result: AttackResult, estimator_label: str,
                         cfg: PcfaConfig, method: str, runtime_ms: float,
-                        deterministic: bool, target_array,
-                        initial_quality=None) -> AttackReport:
+                        deterministic: bool, initial_quality=None) -> AttackReport:
     return AttackReport(
         estimator=estimator_label,
         eps2=cfg.epsilon2,
@@ -175,7 +174,7 @@ def _report_from_result(result: AttackResult, estimator_label: str,
         target=cfg.target.kind.value,
         box=cfg.box.value if method == "pcfa" else "clipping",
         mode=cfg.mode.value if method == "pcfa" else "disjoint",
-        strength=attack_strength(result.flow_adv.data, target_array),
+        strength=attack_strength(result.flow_adv, result.target),
         robustness=adversarial_robustness(result.flow_adv, result.flow_init),
         l2=result.l2_norm,
         linf=result.linf_norm,
@@ -187,10 +186,9 @@ def _report_from_result(result: AttackResult, estimator_label: str,
     )
 
 
-def _write_pair_artifacts(out_dir: Path, stem: str, result: AttackResult,
-                          target_array):
+def _write_pair_artifacts(out_dir: Path, stem: str, result: AttackResult):
     both = np.concatenate([result.flow_init.data, result.flow_adv.data,
-                           target_array])
+                           result.target.data])
     max_mag = float(np.percentile(np.sqrt(both[0::2] ** 2 + both[1::2] ** 2), 99))
     max_mag = max(max_mag, 1e-12)
     flowio.write_image_png(out_dir / f"{stem}_flow_init.png",
@@ -198,7 +196,7 @@ def _write_pair_artifacts(out_dir: Path, stem: str, result: AttackResult,
     flowio.write_image_png(out_dir / f"{stem}_flow_adv.png",
                            flowio.flow_to_color(result.flow_adv, max_mag))
     flowio.write_image_png(out_dir / f"{stem}_flow_target.png",
-                           flowio.flow_to_color(target_array, max_mag))
+                           flowio.flow_to_color(result.target, max_mag))
     deltas = flowio.perturbation_to_image(result.perturbation)
     flowio.write_image_png(out_dir / f"{stem}_delta1.png", deltas[0])
     if len(deltas) > 1:
@@ -221,7 +219,6 @@ def _attack_one(payload):
     else:
         result = pcfa_attack(estimator, frame1, frame2, cfg)
     runtime_ms = 1000.0 * (time.perf_counter() - start)
-    target_array = cfg.target.resolve(result.flow_init.data)
     initial_quality = None
     if gt is not None:
         gt_flow, gt_mask = gt if isinstance(gt, tuple) else (gt, None)
@@ -230,13 +227,14 @@ def _attack_one(payload):
         else:
             initial_quality = attack_strength(result.flow_init, gt_flow)
     report = _report_from_result(result, estimator.label, cfg, method,
-                                 runtime_ms, deterministic, target_array,
-                                 initial_quality)
-    _write_pair_artifacts(Path(out_dir), stem, result, target_array)
+                                 runtime_ms, deterministic, initial_quality)
+    _write_pair_artifacts(Path(out_dir), stem, result)
     return report.to_json_line()
 
 
 def cmd_attack(args) -> int:
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
     config = _load_config(args.config) if args.config else {}
     _merge_cli(config, args, "attack",
                {"eps2": "eps2", "mu": "mu", "loss": "loss", "target": "target",
@@ -273,8 +271,9 @@ def cmd_attack(args) -> int:
     payloads = [(estimator, cfg, method, entry, f"pair{idx:03d}", str(out_dir),
                  args.deterministic)
                 for idx, entry in enumerate(entries)]
-    if args.jobs > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, len(payloads))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             lines = list(pool.map(_attack_one, payloads))
     else:
         lines = [_attack_one(p) for p in payloads]
@@ -302,8 +301,6 @@ def cmd_universal(args) -> int:
                          "set [universal] steps_per_batch instead")
     if "method" in atk_section:
         raise UsageError("[attack] method does not apply to universal training")
-    if atk_section.get("box", "clipping") != "clipping":
-        raise UsageError("universal training requires [attack] box = clipping")
     cfg = _build_attack_config(atk_section, args.seed)
     try:
         ucfg = UniversalTrainConfig(attack=cfg, **{
@@ -467,7 +464,8 @@ def _build_parser() -> _Parser:
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for independent frame pairs")
+                        help="worker processes for independent frame pairs "
+                             "(at most one per pair)")
     parser.add_argument("--deterministic", action="store_true",
                         help="zero out runtimes so report lines are "
                              "byte-reproducible")
@@ -531,6 +529,9 @@ def main(argv=None) -> int:
         return 1
     except (OSError, flowio.FormatError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return 2
+    except ShapeError as exc:
+        print(f"shape mismatch: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

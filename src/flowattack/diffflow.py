@@ -176,9 +176,8 @@ def _derivatives(f1, f2):
 
 
 def _derivatives_adj(gix, giy, git):
-    g1 = 0.5 * (_dx_adj(gix) + _dy_adj(giy)) - git
-    g2 = 0.5 * (_dx_adj(gix) + _dy_adj(giy)) + git
-    return g1, g2
+    g = 0.5 * (_dx_adj(gix) + _dy_adj(giy))
+    return g - git, g + git
 
 
 def _coefficients(ix, iy, it):

@@ -103,11 +103,6 @@ class TraceSummary:
         return TraceSummary(len(trace), trace.values[0], trace.values[-1], *spent)
 
 
-_REPORT_FIELDS = ("estimator", "eps2", "mu", "loss", "target", "box", "mode",
-                  "strength", "robustness", "l2", "linf", "steps", "seed",
-                  "runtime_ms")
-
-
 @dataclass(frozen=True)
 class AttackReport:
     """One run's metrics plus its configuration echo.
@@ -142,10 +137,7 @@ class AttackReport:
                                  f"got {value}")
 
     def to_json_line(self) -> str:
-        record = {name: getattr(self, name) for name in _REPORT_FIELDS}
-        record["initial_quality"] = self.initial_quality
-        record["trace"] = asdict(self.trace)
-        return json.dumps(record, sort_keys=False, separators=(",", ":"))
+        return json.dumps(asdict(self), sort_keys=False, separators=(",", ":"))
 
     @staticmethod
     def from_json_line(line: str) -> "AttackReport":

@@ -16,11 +16,11 @@ import numpy as np
 
 from . import io as flowio
 from .attack import BoxConstraint, Parametrization, PcfaConfig, \
-    PenalizedObjective, TargetKind, default_mu
+    PenalizedObjective, TargetKind
 # unused here; bench/spans.py patches this name and fails without it
 from .attack import penalty_value_grad  # noqa: F401
 from .core import FlowField, Image, Perturbation, PerturbMode, ShapeError, \
-    clip01, scale_bound
+    clip01
 from .diffflow import FlowEstimator
 from .optim import LbfgsParams, lbfgs_minimize
 
@@ -40,8 +40,6 @@ class DatasetManifest:
     """
 
     entries: list[tuple] = field(default_factory=list)
-    height: int | None = None
-    width: int | None = None
 
     @staticmethod
     def from_file(path) -> "DatasetManifest":
@@ -74,6 +72,7 @@ class DatasetManifest:
     def load_pairs(self) -> list[tuple[Image, Image, FlowField | None]]:
         loaded = []
         skipped = 0
+        grid = None
         for entry in self.entries:
             try:
                 f1 = entry[0] if isinstance(entry[0], Image) else flowio.read_image(entry[0])
@@ -85,13 +84,12 @@ class DatasetManifest:
                 skipped += 1
                 warnings.warn(f"skipping unreadable pair {entry[:2]}: {exc}")
                 continue
-            if self.height is None:
-                self.height, self.width = f1.height, f1.width
+            grid = grid or (f1.height, f1.width)
             for frame in (f1, f2):
-                if (frame.height, frame.width) != (self.height, self.width):
+                if (frame.height, frame.width) != grid:
                     raise ShapeError(
                         f"pair grid {frame.height}x{frame.width} != declared "
-                        f"{self.height}x{self.width}")
+                        f"{grid[0]}x{grid[1]}")
             if f1.data.shape != f2.data.shape:
                 raise ShapeError("frames of a pair differ in shape")
             loaded.append((f1, f2, gt))
@@ -148,23 +146,12 @@ def train_universal(estimator: FlowEstimator, data: DatasetManifest,
     pairs = data.load_pairs()
     atk = cfg.attack
     shape = pairs[0][0].data.shape
-    channels, height, width = shape
-    eps_hat = scale_bound(atk.epsilon2, height * width, channels)
-    mu = atk.mu if atk.mu is not None else default_mu(atk.loss, atk.target.kind,
-                                                      atk.epsilon2)
+    eps_hat, mu = atk.budget(shape)
     param = Parametrization(BoxConstraint.CLIPPING, atk.mode, realized=False)
-
-    targets: dict[int, np.ndarray] = {}
-
-    def target_for(idx):
-        if idx not in targets:
-            f1, f2, _ = pairs[idx]
-            if atk.target.kind == TargetKind.ZERO:
-                tgt = np.zeros((2, height, width))
-            else:
-                tgt = atk.target.resolve(estimator.estimate_flow(f1, f2).data)
-            targets[idx] = tgt
-        return targets[idx]
+    # a zero target needs no forward pass
+    targets = [np.zeros((2,) + shape[1:]) if atk.target.kind == TargetKind.ZERO
+               else atk.target.resolve(estimator.estimate_flow(f1, f2).data)
+               for f1, f2, _ in pairs]
 
     x = param.start(pairs[0][0].data, pairs[0][1].data)
     rng = np.random.default_rng(atk.seed)
@@ -173,7 +160,7 @@ def train_universal(estimator: FlowEstimator, data: DatasetManifest,
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
-            batch = [(pairs[i][0].data, pairs[i][1].data, target_for(int(i)))
+            batch = [(pairs[i][0].data, pairs[i][1].data, targets[i])
                      for i in order[start:start + cfg.batch_size]]
             x, _ = lbfgs_minimize(PenalizedObjective(
                 estimator, param, batch, atk.loss, eps_hat, mu), x, params)

@@ -10,7 +10,7 @@ from flowattack.attack import (BoxConstraint, LossKind, Parametrization,
                                default_mu, ifgsm_attack, loss_aee, loss_cs,
                                loss_mse, loss_with_grad, pcfa_attack,
                                penalty_value_grad)
-from flowattack.core import PerturbMode, ShapeError, scale_bound
+from flowattack.core import FlowField, PerturbMode, ShapeError, scale_bound
 from flowattack.diffflow import FlowEstimator, builtin_estimators
 from flowattack.evaluation import attack_strength
 from flowattack.optim import LbfgsParams, lbfgs_minimize
@@ -388,6 +388,51 @@ def traced_peak(fn):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+class TestPairSetup:
+    """Both attacks validate the pair and resolve the target in one place
+    and return that target with the result."""
+
+    @staticmethod
+    def attack(method, estimator, f1, f2, target):
+        if method == "pcfa":
+            return pcfa_attack(estimator, f1, f2,
+                               PcfaConfig(epsilon2=5e-3, steps=2, target=target))
+        return ifgsm_attack(estimator, f1, f2, eps_inf=5e-3, steps=2,
+                            target=target)
+
+    @pytest.mark.parametrize("kind", ["zero", "negative", "custom"])
+    @pytest.mark.parametrize("method", ["pcfa", "ifgsm"])
+    def test_result_carries_the_resolved_target(self, fast_estimator,
+                                                small_pair, method, kind):
+        f1, f2, gt = small_pair
+        target = {"zero": Target.zero(), "negative": Target.negative_initial(),
+                  "custom": Target.custom_flow(gt)}[kind]
+        result = self.attack(method, fast_estimator, f1, f2, target)
+        assert np.array_equal(result.target.data,
+                              target.resolve(result.flow_init.data))
+
+    @pytest.mark.parametrize("mismatch", ["frames", "target"])
+    @pytest.mark.parametrize("method", ["pcfa", "ifgsm"])
+    def test_grid_mismatch(self, fast_estimator, small_pair, method, mismatch):
+        f1, f2, _ = small_pair
+        target = Target.zero()
+        if mismatch == "frames":
+            f2 = make_pair(5, 32, 24)[1]
+        else:
+            target = Target.custom_flow(FlowField(np.zeros((2, 5, 5))))
+        with pytest.raises(ShapeError,
+                           match="frame shapes differ|custom target does not"):
+            self.attack(method, fast_estimator, f1, f2, target)
+
+    def test_budget_is_scaled_bound_and_default_mu(self):
+        cfg = PcfaConfig(epsilon2=5e-3, loss=LossKind.MSE,
+                         target=Target.negative_initial())
+        assert cfg.budget((3, 24, 32)) == (
+            scale_bound(5e-3, 24 * 32, 3),
+            default_mu(LossKind.MSE, TargetKind.NEGATIVE, 5e-3))
+        assert PcfaConfig(epsilon2=5e-3, mu=7.0).budget((1, 8, 8))[1] == 7.0
 
 
 class TestOneTapeAtATime:

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from flowattack import cli
 from flowattack import io as flowio
 from flowattack.cli import main
 from flowattack.core import FlowField
@@ -86,6 +87,54 @@ class TestAttackCommand:
         assert run(["--out", parallel, "--jobs", 2] + base) == 0
         assert (serial / "report.jsonl").read_bytes() == \
             (parallel / "report.jsonl").read_bytes()
+
+    def test_jobs_capped_at_pair_count(self, tmp_path, tiny_manifest,
+                                       monkeypatch):
+        pools = []
+
+        class SerialPool:
+            """Records the worker count asked for; maps in this process."""
+
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        assert run(["--out", tmp_path / "two", "--jobs", 64, "attack",
+                    "--manifest", tiny_manifest, "--steps", 1]) == 0
+        assert pools == [2]
+        # a single pair runs in this process, without a pool
+        assert run(["--out", tmp_path / "one", "--jobs", 64, "attack",
+                    "--steps", 1]) == 0
+        assert pools == [2]
+
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_jobs_below_one_is_usage_error(self, tmp_path, capsys, jobs):
+        out = tmp_path / "out"
+        assert run(["--out", out, "--jobs", jobs, "attack"]) == 1
+        assert "--jobs must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_custom_target_grid_mismatch_is_exit_2(self, tmp_path, capsys,
+                                                   tiny_manifest):
+        flo = tmp_path / "small.flo"
+        flowio.write_flo(flo, FlowField(np.zeros((2, 5, 5))))
+        frames = [tiny_manifest.parent / "p0_1.png",
+                  tiny_manifest.parent / "p0_2.png"]
+        assert run(["--out", tmp_path / "out", "attack", "--frames", *frames,
+                    "--target", "custom", "--target-file", flo,
+                    "--steps", 1]) == 2
+        err = capsys.readouterr().err
+        assert err == ("shape mismatch: custom target does not match "
+                       "the frame grid\n")
 
     def test_missing_input_no_partial_outputs(self, tmp_path):
         out = tmp_path / "out"
@@ -259,6 +308,20 @@ class TestUniversalAndTransfer:
         cfg.write_text("[attack]\nbox = clipping\n")
         assert run(["--config", cfg, "--out", tmp_path / "uni", "universal",
                     "--manifest", tiny_manifest, "--epochs", "1"]) == 0
+
+    def test_universal_grid_mismatch_is_exit_2(self, tmp_path, capsys):
+        lines = []
+        for k, size in enumerate((24, 32)):
+            f1, f2, _ = make_pair(60 + k, size, size)
+            flowio.write_image_png(tmp_path / f"q{k}_1.png", f1)
+            flowio.write_image_png(tmp_path / f"q{k}_2.png", f2)
+            lines.append(f"q{k}_1.png q{k}_2.png")
+        manifest = tmp_path / "pairs.txt"
+        manifest.write_text("\n".join(lines) + "\n")
+        assert run(["--out", tmp_path / "uni", "universal", "--manifest",
+                    manifest, "--epochs", 1]) == 2
+        err = capsys.readouterr().err
+        assert err == "shape mismatch: pair grid 32x32 != declared 24x24\n"
 
     def test_universal_requires_manifest(self, tmp_path):
         assert run(["--out", tmp_path / "x", "universal"]) == 1

@@ -130,6 +130,20 @@ class TestAttackReport:
                      "runtime_ms"):
             assert name in record
 
+    def test_key_order_is_fixed(self):
+        import json
+        from dataclasses import replace
+        line = replace(self.make_report(), trace=TraceSummary(
+            2, 2.0, 1.2, 3, 3, "max_steps", [1, 0])).to_json_line()
+        assert list(json.loads(line)) == [
+            "estimator", "eps2", "mu", "loss", "target", "box", "mode",
+            "strength", "robustness", "l2", "linf", "steps", "seed",
+            "runtime_ms", "initial_quality", "trace"]
+        assert line.endswith(
+            '"trace":{"steps_taken":2,"loss_first":2.0,"loss_last":1.2,'
+            '"value_evals":3,"grad_evals":3,"stop_reason":"max_steps",'
+            '"backtracks":[1,0]}}')
+
     def test_strength_and_robustness_are_separate_fields(self):
         import json
         record = json.loads(self.make_report().to_json_line())
