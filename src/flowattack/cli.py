@@ -132,6 +132,8 @@ def _build_attack_config(section: dict[str, str], seed: int) -> PcfaConfig:
             mode=PerturbMode(section.get("mode", "disjoint")),
             seed=seed,
         )
+    except flowio.FormatError:
+        raise  # a corrupt target file is an i/o error, not a usage error
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -313,11 +315,12 @@ def cmd_universal(args) -> int:
         raise UsageError("universal training requires a dataset manifest")
     manifest = DatasetManifest.from_file(manifest_path)
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
     pert = train_universal(estimator, manifest, ucfg)
     runtime_ms = 1000.0 * (time.perf_counter() - start)
+    # only now: training fails on its inputs before it writes anything
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     flowio.write_perturbation(out_dir / "universal_delta.npz", pert)
     images = flowio.perturbation_to_image(pert)

@@ -33,10 +33,21 @@ warp context is None where the level does not warp. The Jacobi tape is
 (layout, alpha, a12, dd, det, residuals): the flat solve coefficients
 and the residuals r_k = alpha * nsum(w_k) - b, not the iterates, as one
 (K, 2, L) array.
+
+Batch axis: every primitive and kernel takes leading batch dims, frames
+(..., C, M, N) and flows (..., M, N), and a (C, M, N) pair is the case
+without them. Each pair of a batch has its own guarded buffer, its own
+block of the warp's flat indices, and sums over its own channels, so
+every flow and gradient is bitwise that of the pair's own call. A batch
+runs each numpy call once for all its pairs, which saves the per-call
+overhead that dominates the sweeps of small grids. Its tape is the sum
+of its pairs' tapes, residuals (K, B, 2, L) per level: 2K * M * (N + 1)
+floats per pair and level.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,12 +120,20 @@ def _up2_adj(g, mc, nc):
             + gp[..., 0::2, 1::2] + gp[..., 1::2, 1::2])
 
 
+def _planes(shape):
+    """Flat start of every (M, N) plane of a C-ordered array of `shape`,
+    shaped to broadcast against it."""
+    lead, (m, n) = shape[:-2], shape[-2:]
+    return (np.arange(math.prod(lead)) * (m * n)).reshape(lead + (1, 1))
+
+
 def _warp(img, u, v):
     """Bilinear sample of img at (i + v, j + u), coordinates clamped.
 
-    Returns the warped image and the context needed by `_warp_adj`.
+    img is (..., C, M, N) and the flow (..., M, N), with the same leading
+    dims. Returns the warped image and the context needed by `_warp_adj`.
     """
-    c, m, n = img.shape
+    m, n = img.shape[-2:]
     jj, ii = np.meshgrid(np.arange(n, dtype=float), np.arange(m, dtype=float))
     x = np.clip(jj + u, 0.0, n - 1.0)
     y = np.clip(ii + v, 0.0, m - 1.0)
@@ -126,12 +145,15 @@ def _warp(img, u, v):
     fy = y - y0
     x1 = np.minimum(x0 + 1, n - 1)
     y1 = np.minimum(y0 + 1, m - 1)
-    i00 = img[:, y0, x0]
-    i01 = img[:, y0, x1]
-    i10 = img[:, y1, x0]
-    i11 = img[:, y1, x1]
-    out = ((1 - fy) * ((1 - fx) * i00 + fx * i01)
-           + fy * ((1 - fx) * i10 + fx * i11))
+    # one gather per corner, at each pair's and channel's flat offsets
+    flat = img.reshape(-1)
+    planes = _planes(img.shape)
+    i00, i01, i10, i11 = (flat.take(np.expand_dims(k, -3) + planes) for k in (
+        y0 * n + x0, y0 * n + x1, y1 * n + x0, y1 * n + x1))
+    cx = np.expand_dims(fx, -3)
+    cy = np.expand_dims(fy, -3)
+    out = ((1 - cy) * ((1 - cx) * i00 + cx * i01)
+           + cy * ((1 - cx) * i10 + cx * i11))
     ctx = (img, x0, x1, y0, y1, fx, fy, in_x, in_y)
     return out, ctx
 
@@ -141,26 +163,35 @@ def _warp_adj(g, ctx):
 
     The image cotangent scatters each output pixel's four bilinear
     weights back to their source pixels. One `np.bincount` per channel
-    does it, over the corner blocks 00, 01, 10, 11 concatenated in that
-    order, so every source pixel accumulates its terms in a fixed order.
+    does it for every pair at once: each pair's indices are offset by
+    its own M * N block, and the corner blocks 00, 01, 10, 11 are
+    concatenated in that order, so every source pixel accumulates its
+    terms in a fixed order. The flow cotangent reduces over the channels
+    as it forms them, one channel's gathers at a time, from +0.0 as
+    `np.sum` does.
     """
     img, x0, x1, y0, y1, fx, fy, in_x, in_y = ctx
-    c, m, n = img.shape
+    c, m, n = img.shape[-3:]
+    corners = np.stack([y0 * n + x0, y0 * n + x1, y1 * n + x0, y1 * n + x1])
     weights = np.stack([(1 - fy) * (1 - fx), (1 - fy) * fx, fy * (1 - fx), fy * fx])
-    idx = np.stack([y0 * n + x0, y0 * n + x1, y1 * n + x0, y1 * n + x1]).ravel()
+    pairs = _planes(fx.shape)
+    idx = (corners + pairs).ravel()
     g_img = np.empty_like(img)
     for ch in range(c):
-        g_img[ch] = np.bincount(idx, (g[ch] * weights).ravel(),
-                                minlength=m * n).reshape(m, n)
+        g_img[..., ch, :, :] = np.bincount(
+            idx, (g[..., ch, :, :] * weights).ravel(),
+            minlength=pairs.size * m * n).reshape(fx.shape)
     del weights, idx  # the flow part below sets the peak; keep it lean
-    i00 = img[:, y0, x0]
-    i01 = img[:, y0, x1]
-    i10 = img[:, y1, x0]
-    i11 = img[:, y1, x1]
-    dout_dx = (1 - fy) * (i01 - i00) + fy * (i11 - i10)
-    dout_dy = (1 - fx) * (i10 - i00) + fx * (i11 - i01)
-    g_u = np.sum(g * dout_dx, axis=0) * in_x
-    g_v = np.sum(g * dout_dy, axis=0) * in_y
+    corners += c * pairs  # flat index into each pair's first channel
+    flat = img.reshape(-1)
+    g_u = np.zeros(fx.shape)
+    g_v = np.zeros(fy.shape)
+    for ch in range(c):
+        i00, i01, i10, i11 = (flat[ch * m * n:].take(k) for k in corners)
+        g_u += g[..., ch, :, :] * ((1 - fy) * (i01 - i00) + fy * (i11 - i10))
+        g_v += g[..., ch, :, :] * ((1 - fx) * (i10 - i00) + fx * (i11 - i01))
+    g_u *= in_x
+    g_v *= in_y
     return g_img, g_u, g_v
 
 
@@ -181,15 +212,17 @@ def _derivatives_adj(gix, giy, git):
 
 
 def _coefficients(ix, iy, it):
-    a11 = np.sum(ix * ix, axis=0)
-    a12 = np.sum(ix * iy, axis=0)
-    a22 = np.sum(iy * iy, axis=0)
-    b1 = np.sum(ix * it, axis=0)
-    b2 = np.sum(iy * it, axis=0)
+    """Per-pixel system coefficients, summed over the channel axis."""
+    a11 = np.sum(ix * ix, axis=-3)
+    a12 = np.sum(ix * iy, axis=-3)
+    a22 = np.sum(iy * iy, axis=-3)
+    b1 = np.sum(ix * it, axis=-3)
+    b2 = np.sum(iy * it, axis=-3)
     return a11, a12, a22, b1, b2
 
 
-def _coefficients_adj(ix, iy, it, ga11, ga12, ga22, gb1, gb2):
+def _coefficients_adj(ix, iy, it, *gcoef):
+    ga11, ga12, ga22, gb1, gb2 = (np.expand_dims(g, -3) for g in gcoef)
     gix = 2.0 * ix * ga11 + iy * ga12 + it * gb1
     giy = 2.0 * iy * ga22 + ix * ga12 + it * gb2
     git = ix * gb1 + iy * gb2
@@ -207,69 +240,82 @@ class _Guarded:
     left and right neighbour of every cell in it, and a neighbour outside
     the grid is a guard. Guards hold zero, so the 4-neighbour sum needs no
     bounds: three adds of contiguous slices.
+
+    `lead` is the batch shape in front: every pair of a batch has its own
+    buffer and span, so spans are (*lead, k, L) arrays.
     """
 
-    def __init__(self, m, n):
+    def __init__(self, lead, m, n):
+        self.lead = lead
         self.shape = (m, n)
         self.stride = n + 1
         self.lo = n + 1
         self.hi = (m + 1) * (n + 1)
 
     def put(self, *grids, guard=0.0):
-        """Stack (M, N) grids into a (len(grids), L) span array."""
+        """Stack (*lead, M, N) grids into a (*lead, len(grids), L) span array."""
         m, n = self.shape
-        out = np.full((len(grids), m, n + 1), guard)
+        out = np.full(self.lead + (len(grids), m, n + 1), guard)
         for k, grid in enumerate(grids):
-            out[k, :, :n] = grid
-        return out.reshape(len(grids), -1)
+            out[..., k, :, :n] = grid
+        return out.reshape(self.lead + (len(grids), -1))
 
-    def take(self, a):
-        """The grid cells of a (..., L) span array, as a (..., M, N) view."""
+    def grids(self, a):
+        """The k grids of a (..., k, L) span array, as (..., M, N) views."""
         m, n = self.shape
-        return a.reshape(a.shape[:-1] + (m, n + 1))[..., :n]
+        cells = a.reshape(a.shape[:-1] + (m, n + 1))[..., :n]
+        return tuple(np.moveaxis(cells, -3, 0))
 
     def buffer(self, span):
-        """A (2, M + 2, N + 1)-cell zero buffer and its (2, L) span view."""
-        buf = np.zeros((2, self.hi + self.stride))
-        buf[:, self.lo:self.hi] = span
-        return buf, buf[:, self.lo:self.hi]
+        """A (*lead, 2, M + 2, N + 1)-cell zero buffer and its (*lead, 2, L)
+        span view."""
+        buf = np.zeros(self.lead + (2, self.hi + self.stride))
+        buf[..., self.lo:self.hi] = span
+        return buf, buf[..., self.lo:self.hi]
 
     def nsum(self, buf, out):
         """4-neighbour sum of a buffer's span: up + down, + left, + right."""
         lo, hi, s = self.lo, self.hi, self.stride
-        np.add(buf[:, lo - s:hi - s], buf[:, lo + s:hi + s], out=out)
-        out += buf[:, lo - 1:hi - 1]
-        out += buf[:, lo + 1:hi + 1]
+        np.add(buf[..., lo - s:hi - s], buf[..., lo + s:hi + s], out=out)
+        out += buf[..., lo - 1:hi - 1]
+        out += buf[..., lo + 1:hi + 1]
         return out
+
+
+def _swap(a):
+    """(u, v) -> (v, u) on the component axis of a (..., 2, L) span."""
+    return a[..., ::-1, :]
 
 
 def _jacobi(coeffs, u0, v0, alpha, iters):
     """Fixed number of coupled Jacobi sweeps on the Euler-Lagrange system.
 
     Each sweep solves the per-pixel 2x2 system exactly against the
-    neighbor sums of the previous iterate. The flow (u, v) is carried as
-    one stacked (2, L) span in the `_Guarded` layout, so a sweep is one
-    neighbour sum r = alpha * nsum(w) - b and one solve
-    w = (dd * r - a12 * r[::-1]) / det with dd = (d22, d11). det is inf on
-    the guard cells, so the solve writes zeros there and the guards stay
-    zero. Returns the final flow plus the tape for the adjoint sweep,
-    (layout, alpha, a12, dd, det, residuals): everything `_jacobi_adj`
-    reads and nothing more. The residuals r_k are one (K, 2, L) array,
-    2K * M * (N + 1) floats per level, about the 2(K + 1) * M * N of an
-    iterate tape; a12 and det add one span each and dd two.
-    `_jacobi_adj` recomputes each iterate w_{k+1} pointwise from r_k.
+    neighbor sums of the previous iterate. The coefficients and the start
+    are (..., M, N) grids; leading dims are a batch of independent grids.
+    The flow (u, v) is carried as one stacked (..., 2, L) span in the
+    `_Guarded` layout, so a sweep is one neighbour sum
+    r = alpha * nsum(w) - b and one solve w = (dd * r - a12 * swap(r)) / det
+    with dd = (d22, d11). det is inf on the guard cells, so the solve
+    writes zeros there and the guards stay zero. Returns the final flow
+    plus the tape for the adjoint sweep, (layout, alpha, a12, dd, det,
+    residuals): everything `_jacobi_adj` reads and nothing more. The
+    residuals r_k are one (K, ..., 2, L) array, 2K * M * (N + 1) floats
+    per grid, about the 2(K + 1) * M * N of an iterate tape; a12 and det
+    add one span each and dd two. `_jacobi_adj` recomputes each iterate
+    w_{k+1} pointwise from r_k.
     """
     a11, a12, a22, b1, b2 = coeffs
-    m, n = a11.shape
+    m, n = a11.shape[-2:]
     # in-grid neighbours: 4, less one for each grid border the cell is on
     i, j = np.arange(m)[:, None], np.arange(n)
     count = 4.0 - (i == 0) - (i == m - 1) - (j == 0) - (j == n - 1)
     d11 = a11 + alpha * count
     d22 = a22 + alpha * count
-    lay = _Guarded(m, n)
+    lay = _Guarded(a11.shape[:-2], m, n)
     dd = lay.put(d22, d11)
-    a12f = lay.put(a12)[0]
-    detf = lay.put(d11 * d22 - a12 * a12, guard=np.inf)[0]
+    a12f = lay.put(a12)
+    detf = lay.put(d11 * d22 - a12 * a12, guard=np.inf)
     del d11, d22  # the tape sets the memory peak; hold nothing more
     b = lay.put(b1, b2)
     buf, w = lay.buffer(lay.put(u0, v0))
@@ -280,13 +326,13 @@ def _jacobi(coeffs, u0, v0, alpha, iters):
         r *= alpha
         r -= b
         # w_k is spent, so w_{k+1} overwrites it; the next tape slot (b
-        # after the last residual) holds a12 * r[::-1] meanwhile
+        # after the last residual) holds a12 * swap(r) meanwhile
         scratch = rs[k + 1] if k + 1 < iters else b
         np.multiply(dd, r, out=w)
-        np.multiply(a12f, r[::-1], out=scratch)
+        np.multiply(a12f, _swap(r), out=scratch)
         w -= scratch
         w /= detf
-    u, v = lay.take(w)
+    u, v = lay.grids(w)
     return u, v, (lay, alpha, a12f, dd, detf, rs)
 
 
@@ -297,6 +343,7 @@ def _jacobi_adj(gu, gv, tape):
     residual r_k and runs one stacked neighbour sum, on the cotangent.
     The cotangent's guard cells pick up finite sums, but the solve's
     transpose divides them by det = inf, so nothing flows back from them.
+    a12, det and their cotangent are (..., 1, L) spans.
     """
     lay, alpha, a12, dd, det, rs = tape
     a2 = 2.0 * a12
@@ -308,41 +355,42 @@ def _jacobi_adj(gu, gv, tape):
     gb = np.zeros_like(g)
     pq = np.empty_like(g)
     tmp = np.empty_like(g)
+    first = tmp[..., :1, :]  # tmp's u component, shaped like a12 and det
     for r in rs[::-1]:
         np.multiply(dd, r, out=pq)
-        np.multiply(a12, r[::-1], out=tmp)
+        np.multiply(a12, _swap(r), out=tmp)
         pq -= tmp
         pq /= det
         # ga12 += (gu * (2 a12 p - r2) + gv * (2 a12 q - r1)) / det
         np.multiply(a2, pq, out=tmp)
-        tmp -= r[::-1]
+        tmp -= _swap(r)
         tmp *= g
-        np.add(tmp[0], tmp[1], out=tmp[0])
-        tmp[0] /= det
-        ga12 += tmp[0]
+        np.add(first, tmp[..., 1:, :], out=first)
+        first /= det
+        ga12 += first
         # (ga11, ga22) += (gu * (-p * d22) + gv * (r2 - q * d22),
         #                  gv * (-q * d11) + gu * (r1 - p * d11)) / det,
         # with gr's span as scratch until gr itself is computed
         np.negative(pq, out=tmp)
         tmp *= dd
         tmp *= g
-        np.multiply(pq[::-1], dd, out=gr)
-        np.subtract(r[::-1], gr, out=gr)
-        gr *= g[::-1]
+        np.multiply(_swap(pq), dd, out=gr)
+        np.subtract(_swap(r), gr, out=gr)
+        gr *= _swap(g)
         tmp += gr
         tmp /= det
         gdiag += tmp
         np.multiply(g, dd, out=gr)
-        np.multiply(g[::-1], a12, out=tmp)
+        np.multiply(_swap(g), a12, out=tmp)
         gr -= tmp
         gr /= det
         gb -= gr
         lay.nsum(gbuf, out=g)
         g *= alpha
-    ga11, ga22 = lay.take(gdiag)
-    gb1, gb2 = lay.take(gb)
-    gu, gv = lay.take(g)
-    return gu, gv, (ga11, lay.take(ga12), ga22, gb1, gb2)
+    ga11, ga22 = lay.grids(gdiag)
+    gb1, gb2 = lay.grids(gb)
+    gu, gv = lay.grids(g)
+    return gu, gv, (ga11, *lay.grids(ga12), ga22, gb1, gb2)
 
 
 # ---------------------------------------------------------------------------
@@ -367,10 +415,11 @@ class EstimatorConfig:
             raise ValueError("pyramid_levels must be >= 1")
 
 
-def _as_frame(x) -> np.ndarray:
+def _as_frame(x, batched=False) -> np.ndarray:
     a = x.data if isinstance(x, Image) else np.asarray(x, dtype=np.float64)
-    if a.ndim != 3:
-        raise ShapeError(f"frame must be (C, M, N), got {a.shape}")
+    if a.ndim not in ((3, 4) if batched else (3,)):
+        want = "(C, M, N) or (B, C, M, N)" if batched else "(C, M, N)"
+        raise ShapeError(f"frame must be {want}, got {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("frame contains non-finite values")
     return a
@@ -391,12 +440,12 @@ class FlowEstimator:
     def __repr__(self):
         return f"FlowEstimator({self.config!r}, label={self.label!r})"
 
-    def _check_pair(self, frame1, frame2):
-        f1 = _as_frame(frame1)
-        f2 = _as_frame(frame2)
+    def _check_pair(self, frame1, frame2, batched=False):
+        f1 = _as_frame(frame1, batched)
+        f2 = _as_frame(frame2, batched)
         if f1.shape != f2.shape:
             raise ShapeError(f"frame shapes differ: {f1.shape} vs {f2.shape}")
-        m, n = f1.shape[1:]
+        m, n = f1.shape[-2:]
         coarse = 2 ** (self.config.pyramid_levels - 1)
         if (m + coarse - 1) // coarse < 2 or (n + coarse - 1) // coarse < 2:
             raise ShapeError(
@@ -406,10 +455,11 @@ class FlowEstimator:
     def _forward(self, f1, f2):
         """Coarse to fine; returns the flow and the level tapes, finest first.
 
-        With `warp` a level solves for an increment from zero, after
-        warping the second frame by the upsampled flow (the coarsest
-        level's zero flow would warp by the identity, so it skips that);
-        without it a level solves for the flow from the upsampled start.
+        The frames are (..., C, M, N) and the flow (..., M, N). With
+        `warp` a level solves for an increment from zero, after warping
+        the second frame by the upsampled flow (the coarsest level's zero
+        flow would warp by the identity, so it skips that); without it a
+        level solves for the flow from the upsampled start.
         """
         cfg = self.config
         pyr1 = [f1]
@@ -418,9 +468,9 @@ class FlowEstimator:
             pyr1.append(_down2(pyr1[-1]))
             pyr2.append(_down2(pyr2[-1]))
         levels = []
-        u = v = np.zeros(pyr1[-1].shape[1:])
+        u = v = np.zeros(f1.shape[:-3] + pyr1[-1].shape[-2:])
         for i1, i2 in zip(pyr1[::-1], pyr2[::-1]):
-            m, n = i1.shape[1:]
+            m, n = i1.shape[-2:]
             wctx = None
             if levels:
                 u = 2.0 * _up2(u, m, n)
@@ -428,7 +478,7 @@ class FlowEstimator:
                 if cfg.warp:
                     i2, wctx = _warp(i2, u, v)
             ix, iy, it = _derivatives(i1, i2)
-            start = (np.zeros((m, n)),) * 2 if cfg.warp else (u, v)
+            start = (np.zeros(u.shape),) * 2 if cfg.warp else (u, v)
             su, sv, jtape = _jacobi(_coefficients(ix, iy, it), *start,
                                     cfg.alpha, cfg.iterations)
             u, v = (u + su, v + sv) if cfg.warp else (su, sv)
@@ -449,11 +499,11 @@ class FlowEstimator:
                 gv = gv + gv_w
             grads.append((g1, g2))
             if lev < cfg.pyramid_levels - 1:
-                mc, nc = levels[lev + 1][0].shape[1:]
+                mc, nc = levels[lev + 1][0].shape[-2:]
                 gu = 2.0 * _up2_adj(gu, mc, nc)
                 gv = 2.0 * _up2_adj(gv, mc, nc)
         for lev in range(cfg.pyramid_levels - 1, 0, -1):
-            m, n = levels[lev - 1][0].shape[1:]
+            m, n = levels[lev - 1][0].shape[-2:]
             for fine, coarse in zip(grads[lev - 1], grads[lev]):
                 fine += _down2_adj(coarse, m, n)
         return grads[0]
@@ -467,18 +517,27 @@ class FlowEstimator:
     def value_and_vjp(self, frame1, frame2):
         """One forward pass returning the flow and a reusable VJP closure.
 
-        The closure maps a (2, M, N) cotangent to the pair of
-        image-shaped input gradients; it may be called repeatedly.
+        The frames are one (C, M, N) pair, or (B, C, M, N) stacks of B
+        pairs solved in one batch: the flow is then (B, 2, M, N) and each
+        pair's flow and gradients are bitwise those of its own call. The
+        closure maps a cotangent shaped like the flow to the pair of
+        frame-shaped input gradients; it may be called repeatedly.
         """
-        f1, f2 = self._check_pair(frame1, frame2)
+        f1, f2 = self._check_pair(frame1, frame2, batched=True)
+        lead = f1.shape[:-3]
+        if lead == (1,):  # a batch of one runs as the pair: the same numbers,
+            f1, f2 = f1[0], f2[0]  # and less overhead in every numpy call
         u, v, tape = self._forward(f1, f2)
-        flow = np.stack([u, v])
+        solved = np.stack([u, v], axis=-3)
+        flow = solved.reshape(lead + solved.shape[-3:])
 
         def vjp(cotangent):
             ct = np.asarray(cotangent, dtype=np.float64)
             if ct.shape != flow.shape:
                 raise ShapeError(f"cotangent shape {ct.shape} != flow {flow.shape}")
-            return self._backward(ct[0], ct[1], tape)
+            ct = ct.reshape(solved.shape)
+            grads = self._backward(ct[..., 0, :, :], ct[..., 1, :, :], tape)
+            return tuple(g.reshape(lead + g.shape[-3:]) for g in grads)
 
         return flow, vjp
 

@@ -4,11 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from flowattack.attack import (BoxConstraint, LossKind, Parametrization,
-                               PcfaConfig, PenalizedObjective, Target,
-                               TargetKind, apply_cov, build_problem, cov_init,
-                               default_mu, ifgsm_attack, loss_aee, loss_cs,
-                               loss_mse, loss_with_grad, pcfa_attack,
+from flowattack.attack import (GROUP_PIXELS, BoxConstraint, LossKind,
+                               Parametrization, PcfaConfig,
+                               PenalizedObjective, Target, TargetKind,
+                               _pair_groups, apply_cov, build_problem,
+                               cov_init, default_mu, ifgsm_attack, loss_aee,
+                               loss_cs, loss_mse, loss_with_grad, pcfa_attack,
                                penalty_value_grad)
 from flowattack.core import FlowField, PerturbMode, ShapeError, scale_bound
 from flowattack.diffflow import FlowEstimator, builtin_estimators
@@ -340,7 +341,103 @@ class TestValueOnlyObjective:
             calls_before = estimator.vjp_calls
             _, trace = lbfgs_minimize(fun, x0, LbfgsParams(max_steps=3))
             assert estimator.vjp_calls - calls_before == \
-                trace.grad_evals * len(fun.pairs), name
+                trace.grad_evals * len(_pair_groups(fun.pairs)), name
+
+
+def reference_objective(fun, x, grad=True):
+    """The objective's original pair loop, one estimator call and one tape
+    per pair, kept as the oracle: (value, gradient, box_min, box_max)."""
+    param = fun.param
+    total = 0.0
+    box_min, box_max = math.inf, -math.inf
+    gx = np.zeros_like(x)
+    for i1, i2, target in fun.pairs:
+        d1, d2, p1, p2 = param.apply(x, i1, i2)
+        box_min = min(box_min, float(p1.min()), float(p2.min()))
+        box_max = max(box_max, float(p1.max()), float(p2.max()))
+        flow, vjp = fun.estimator.value_and_vjp(p1, p2)
+        lval, gflow = loss_with_grad(fun.loss, flow, target)
+        if param.realized:
+            pval, g1, g2 = fun._penalty(d1, d2)
+            lval += pval
+        total += lval
+        if grad:
+            gp1, gp2 = vjp(gflow)
+            if param.realized:
+                gp1, gp2 = gp1 + g1, gp2 + g2
+            gx += param.pullback(x, i1, i2, gp1, gp2)
+        del vjp
+    total /= len(fun.pairs)
+    if not param.realized:
+        pval, g1, g2 = fun._penalty(*param.fields(x, fun.pairs[0][0].shape))
+        total += pval
+    if not grad:
+        return total, None, box_min, box_max
+    gx /= len(fun.pairs)
+    if not param.realized:
+        gx += param.gather(g1, g2)
+    return total, gx, box_min, box_max
+
+
+def universal_cases(estimator):
+    """(name, objective, start) for joint universal batches: 4 pairs of
+    32x32 in one group, and 5 pairs of 64x64 in a group of 4 and one."""
+    for name, count, size in (("4x32", 4, 32), ("5x64", 5, 64)):
+        pairs = []
+        for seed in range(60, 60 + count):
+            a, b, _ = make_pair(seed, size, size, channels=3)
+            pairs.append((a.data, b.data, -estimator.estimate_flow(a, b).data))
+        param = Parametrization(BoxConstraint.CLIPPING, PerturbMode.JOINT,
+                                realized=False)
+        fun = PenalizedObjective(estimator, param, pairs, LossKind.AEE,
+                                 eps_hat=1e-2, mu=10.0)
+        yield name, fun, param.start(*pairs[0][:2])
+
+
+class TestGroupedObjective:
+    """Pairs go through the estimator in groups, one call per group; value,
+    gradient and box extremes match the per-pair loop byte for byte."""
+
+    def test_groups_are_consecutive_and_bounded(self):
+        def pairs(*grids):
+            return [(np.zeros((3, m, n)), None, k) for k, (m, n) in enumerate(grids)]
+        fit = GROUP_PIXELS // (32 * 32)
+        groups = _pair_groups(pairs(*[(32, 32)] * (fit + 1)))
+        assert [len(g) for g in groups] == [fit, 1]
+        big = (GROUP_PIXELS // 64 + 1, 64)
+        groups = _pair_groups(pairs((32, 32), big, big, (32, 32), (32, 32)))
+        assert [[p[2] for p in g] for g in groups] == [[0], [1], [2], [3, 4]]
+
+    @pytest.mark.parametrize("active", [True, False])
+    def test_value_only_cases_match_pair_loop(self, fast_estimator, active):
+        rng = np.random.default_rng(27)
+        for name, make, x0 in value_only_cases(fast_estimator):
+            x = x0 + rng.normal(0, 1e-2, x0.shape)
+            fun = make(1e-3 if active else 1e3)
+            value, grad = fun(x)
+            ref_value, ref_grad, *box = reference_objective(fun, x)
+            assert value == ref_value, name
+            assert grad.tobytes() == ref_grad.tobytes(), name
+            assert [fun.box_min, fun.box_max] == box, name
+            assert fun(x, grad=False)[0] == reference_objective(
+                fun, x, grad=False)[0], name
+
+    @pytest.mark.parametrize("label", ["hs", "hs-pyr"])
+    def test_universal_batch_matches_pair_loop(self, label):
+        estimator = builtin_estimators()[label]
+        counting = CountingEstimator(estimator.config)
+        rng = np.random.default_rng(28)
+        for name, fun, x0 in universal_cases(estimator):
+            x = x0 + rng.normal(0, 1e-2, x0.shape)
+            value, grad = fun(x)
+            ref_value, ref_grad, *box = reference_objective(fun, x)
+            assert value == ref_value, name
+            assert grad.tobytes() == ref_grad.tobytes(), name
+            assert [fun.box_min, fun.box_max] == box, name
+            fun.estimator = counting
+            assert fun(x)[0] == value
+            assert counting.vjp_calls == len(_pair_groups(fun.pairs)), name
+            counting.vjp_calls = 0
 
 
 class TestIfgsm:
@@ -435,37 +532,57 @@ class TestPairSetup:
         assert PcfaConfig(epsilon2=5e-3, mu=7.0).budget((1, 8, 8))[1] == 7.0
 
 
+def gradient_peak(estimator, frame1, frame2):
+    """Traced peak of one forward pass plus one VJP call."""
+    def one_gradient():
+        flow, vjp = estimator.value_and_vjp(frame1, frame2)
+        vjp(np.ones(flow.shape))
+    return traced_peak(one_gradient)
+
+
 class TestOneTapeAtATime:
     """An attack holds at most one tape: each VJP closure is dropped
     before the next forward pass builds its tape. The bound is a fifth
-    above one forward pass plus one VJP call; two live tapes exceed it
-    by far (about 1.6x at this grid)."""
+    above one forward pass plus one VJP call of the pairs one group
+    holds; two live tapes exceed it by far (about 1.6x at this grid)."""
 
     @pytest.fixture(scope="class")
     def setting(self):
         estimator = builtin_estimators()["hs-pyr"]
         f1, f2, _ = make_pair(41, 64, 96, channels=3)
-        cotangent = np.ones((2, 64, 96))
-
-        def one_gradient():
-            _, vjp = estimator.value_and_vjp(f1, f2)
-            vjp(cotangent)
-        return estimator, f1, f2, traced_peak(one_gradient)
+        return estimator, f1, f2, gradient_peak(estimator, f1, f2)
 
     def test_ifgsm(self, setting):
         estimator, f1, f2, one = setting
         peak = traced_peak(lambda: ifgsm_attack(estimator, f1, f2, 0.01, steps=3))
         assert peak < 1.2 * one
 
-    def test_two_pair_objective(self, setting):
-        estimator, f1, f2, one = setting
-        a, b, _ = make_pair(42, 64, 96, channels=3)
-        pairs = [(f1.data, f2.data, np.zeros((2, 64, 96))),
-                 (a.data, b.data, np.zeros((2, 64, 96)))]
+    @staticmethod
+    def two_pair_peak(estimator, f1, f2, height, width):
+        a, b, _ = make_pair(42, height, width, channels=3)
+        pairs = [(f1.data, f2.data, np.zeros((2, height, width))),
+                 (a.data, b.data, np.zeros((2, height, width)))]
         param = Parametrization(BoxConstraint.CLIPPING, PerturbMode.DISJOINT,
                                 realized=False)
         fun = PenalizedObjective(estimator, param, pairs, LossKind.AEE,
                                  eps_hat=1e-2, mu=10.0)
         x = param.start(*pairs[0][:2])
-        peak = traced_peak(lambda: fun(x))
-        assert peak < 1.2 * one
+        return pairs, traced_peak(lambda: fun(x))
+
+    def test_two_pair_objective(self, setting):
+        """Both pairs fit one group: one batched tape, for both."""
+        estimator, f1, f2, _ = setting
+        pairs, peak = self.two_pair_peak(estimator, f1, f2, 64, 96)
+        assert len(_pair_groups(pairs)) == 1
+        group = gradient_peak(estimator, np.stack([p[0] for p in pairs]),
+                              np.stack([p[1] for p in pairs]))
+        assert peak < 1.2 * group
+
+    def test_two_pairs_above_group_size(self):
+        """Each pair is above GROUP_PIXELS, so each runs alone with its own
+        tape, one at a time: the bound is one pair's."""
+        estimator = builtin_estimators()["hs-pyr"]
+        f1, f2, _ = make_pair(41, 128, 136, channels=3)
+        pairs, peak = self.two_pair_peak(estimator, f1, f2, 128, 136)
+        assert len(_pair_groups(pairs)) == 2
+        assert peak < 1.2 * gradient_peak(estimator, f1, f2)

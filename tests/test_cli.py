@@ -136,6 +136,14 @@ class TestAttackCommand:
         assert err == ("shape mismatch: custom target does not match "
                        "the frame grid\n")
 
+    def test_corrupt_target_file_is_io_error(self, tmp_path, capsys):
+        flo = tmp_path / "bad.flo"
+        flo.write_bytes(b"PIEH\x02\x00\x00\x00\x02")
+        assert run(["--out", tmp_path / "out", "attack", "--target", "custom",
+                    "--target-file", flo, "--steps", 1]) == 2
+        err = capsys.readouterr().err
+        assert err == f"i/o error: {flo}: truncated flow file header\n"
+
     def test_missing_input_no_partial_outputs(self, tmp_path):
         out = tmp_path / "out"
         code = run(["--out", out, "attack", "--frames", tmp_path / "no1.png",
@@ -322,6 +330,7 @@ class TestUniversalAndTransfer:
                     manifest, "--epochs", 1]) == 2
         err = capsys.readouterr().err
         assert err == "shape mismatch: pair grid 32x32 != declared 24x24\n"
+        assert not (tmp_path / "uni").exists()
 
     def test_universal_requires_manifest(self, tmp_path):
         assert run(["--out", tmp_path / "x", "universal"]) == 1

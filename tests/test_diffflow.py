@@ -418,6 +418,35 @@ def _reference_backward(cfg, gu, gv, tape):
     return g1pyr[0], g2pyr[0]
 
 
+def _looped_jacobi(coeffs, u0, v0, alpha, iters):
+    """`_reference_jacobi_taped` run pair by pair over a leading batch
+    axis, if there is one; the per-pair tapes go in a list."""
+    if u0.ndim == 2:
+        return _reference_jacobi_taped(coeffs, u0, v0, alpha, iters)
+    runs = [_reference_jacobi_taped([c[k] for c in coeffs], u0[k], v0[k],
+                                    alpha, iters) for k in range(len(u0))]
+    u, v, tapes = zip(*runs)
+    return np.stack(u), np.stack(v), list(tapes)
+
+
+def _looped_jacobi_adj(gu, gv, tape):
+    """`_reference_jacobi_adj_taped` over the tapes of `_looped_jacobi`."""
+    if not isinstance(tape, list):
+        return _reference_jacobi_adj_taped(gu, gv, tape)
+    runs = [_reference_jacobi_adj_taped(gu[k], gv[k], t) for k, t in enumerate(tape)]
+    gu, gv, gcoef = zip(*runs)
+    return np.stack(gu), np.stack(gv), tuple(np.stack(g) for g in zip(*gcoef))
+
+
+def _looped_warp_adj(g, ctx):
+    """`_reference_warp_adj` run pair by pair over a leading batch axis."""
+    if g.ndim == 3:
+        return _reference_warp_adj(g, ctx)
+    runs = [_reference_warp_adj(g[k], tuple(a[k] for a in ctx))
+            for k in range(len(g))]
+    return tuple(np.stack(parts) for parts in zip(*runs))
+
+
 def _random_coeffs(rng, m, n):
     return (rng.uniform(0.5, 1.0, (m, n)), rng.uniform(-0.2, 0.2, (m, n)),
             rng.uniform(0.5, 1.0, (m, n)), rng.normal(0, 0.1, (m, n)),
@@ -485,16 +514,24 @@ class TestKernelOracles:
     @pytest.mark.parametrize("label", ["hs", "hs-pyr"])
     @pytest.mark.parametrize("channels", [1, 3])
     def test_estimator_bytes(self, label, channels, monkeypatch):
+        """One pair and a stack of two, against the per-grid reference
+        kernels looped over the batch axis."""
         est = builtin_estimators()[label]
         f1, f2, _ = make_pair(12, 24, 28, channels=channels)
-        cotangent = np.random.default_rng(13).normal(size=(2, 24, 28))
-        flow, vjp = est.value_and_vjp(f1, f2)
-        grads = vjp(cotangent)
-        monkeypatch.setattr(df, "_jacobi", _reference_jacobi_taped)
-        monkeypatch.setattr(df, "_jacobi_adj", _reference_jacobi_adj_taped)
-        monkeypatch.setattr(df, "_warp_adj", _reference_warp_adj)
-        flow_r, vjp_r = est.value_and_vjp(f1, f2)
-        assert _same_bytes((flow,) + tuple(grads), (flow_r,) + tuple(vjp_r(cotangent)))
+        a, b, _ = make_pair(20, 24, 28, channels=channels)
+        cotangent = np.random.default_rng(13).normal(size=(2, 2, 24, 28))
+        inputs = [(f1, f2, cotangent[0]),
+                  (np.stack([f1.data, a.data]), np.stack([f2.data, b.data]), cotangent)]
+        runs = []
+        for frame1, frame2, ct in inputs:
+            flow, vjp = est.value_and_vjp(frame1, frame2)
+            runs.append((flow,) + tuple(vjp(ct)))
+        monkeypatch.setattr(df, "_jacobi", _looped_jacobi)
+        monkeypatch.setattr(df, "_jacobi_adj", _looped_jacobi_adj)
+        monkeypatch.setattr(df, "_warp_adj", _looped_warp_adj)
+        for (frame1, frame2, ct), run in zip(inputs, runs):
+            flow_r, vjp_r = est.value_and_vjp(frame1, frame2)
+            assert _same_bytes(run, (flow_r,) + tuple(vjp_r(ct)))
 
 
 class TestOrchestrationOracle:
@@ -518,6 +555,40 @@ class TestOrchestrationOracle:
         u, v, tape = _reference_forward(config, f1.data, f2.data)
         grads_r = _reference_backward(config, cotangent[0], cotangent[1], tape)
         assert _same_bytes((flow,) + tuple(grads), (np.stack([u, v]),) + grads_r)
+
+
+class TestBatchedEstimator:
+    """A (B, C, M, N) stack runs as one batch: flow and both gradients of
+    every pair are bitwise those of its own call."""
+
+    @pytest.mark.parametrize("label", ["hs", "hs-pyr"])
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("batch", [1, 2, 4])
+    def test_stack_matches_single_calls(self, label, channels, batch):
+        est = builtin_estimators()[label]
+        pairs = [make_pair(70 + k, 24, 28, channels=channels) for k in range(batch)]
+        f1 = np.stack([p[0].data for p in pairs])
+        f2 = np.stack([p[1].data for p in pairs])
+        cotangent = np.random.default_rng(71).normal(size=(batch, 2, 24, 28))
+        flow, vjp = est.value_and_vjp(f1, f2)
+        assert flow.shape == (batch, 2, 24, 28)
+        g1, g2 = vjp(cotangent)
+        for k in range(batch):
+            flow_k, vjp_k = est.value_and_vjp(f1[k], f2[k])
+            assert _same_bytes((flow[k], g1[k], g2[k]),
+                               (flow_k,) + tuple(vjp_k(cotangent[k])))
+        # the pairs move differently, so each warps by its own flow
+        assert all(not np.allclose(flow[0], flow[k]) for k in range(1, batch))
+
+    def test_shapes_checked(self, fast_estimator):
+        one = np.zeros((1, 8, 8))
+        with pytest.raises(ShapeError):
+            fast_estimator.value_and_vjp(one[None, None], one[None, None])
+        with pytest.raises(ShapeError):
+            fast_estimator.estimate_flow(one[None], one[None])
+        _, vjp = fast_estimator.value_and_vjp(one[None], one[None])
+        with pytest.raises(ShapeError):
+            vjp(np.zeros((2, 8, 8)))
 
 
 class TestExactDotProducts:
