@@ -211,6 +211,36 @@ _LOSS_GRADS = {LossKind.AEE: _aee_grad, LossKind.MSE: _mse_grad,
                LossKind.CS: _cs_grad}
 
 
+def _loss_floor(kind: LossKind, npx: int) -> float:
+    """A float no larger than any finite value the loss returns on a grid
+    of npx pixels.
+
+    aee and mse average non-negative terms, and rounding keeps sums and
+    quotients of non-negative floats non-negative: the floor is 0.
+
+    cs averages <a,b> / (|a||b| + CS_STABILIZER), which Cauchy-Schwarz
+    keeps in [-1, 1] in exact arithmetic, but its rounded value can fall
+    a few ulps below -1 for large anti-aligned flows. With u = 2^-53, the
+    rounded dot product is at most |a||b|(1+u)^2 in magnitude, each
+    rounded norm at least |a|(1-u)^2 resp. |b|(1-u)^2, and the rounded
+    denominator at least |a||b|(1-u)^6, so every rounded quotient is at
+    least -(1+u)^3/(1-u)^6 >= -(1 + 10u). Summing npx such terms in any
+    order loses at most gamma_(npx-1) = (npx-1)u/(1-(npx-1)u) of the sum
+    of their magnitudes (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., eq. 4.4), and the division by npx one more u.
+    For npx below 2^40 the mean is therefore at least
+    -(1 + (npx + 12)u(1 + 2^-12)), and the floor -(1 + 2(npx + 64)u)
+    leaves a factor of about two to spare. This assumes no square or
+    product overflows (the value would not be finite) and that no norm
+    loses accuracy to underflow where |a||b| matters against
+    CS_STABILIZER: that needs |a| below about 2^-500 with |b| above
+    2^470, beyond any flow file's float32 range and any estimator output.
+    """
+    if kind == LossKind.CS:
+        return -(1.0 + (npx + 64) * 2.0 ** -52)
+    return 0.0
+
+
 def loss_with_grad(kind: LossKind, flow, target):
     """(value, d value / d flow) for the requested loss."""
     return _LOSS_GRADS[LossKind(kind)](*_flow_pair(flow, target))
@@ -220,20 +250,21 @@ def loss_with_grad(kind: LossKind, flow, target):
 # penalty, box handling, default penalty weights
 # ---------------------------------------------------------------------------
 
-def penalty_value_grad(delta_hat: np.ndarray, eps_hat: float, mu: float):
+def penalty_value_grad(delta_hat: np.ndarray, eps_hat: float, mu: float,
+                       grad: bool = True):
     """Exact penalty on the squared norms: mu * max(0, |d|^2 - eps_hat^2).
 
     The squared form avoids the norm's derivative pole at zero. At the
     kink |d|^2 == eps_hat^2 the inactive-side subgradient (zero) is used,
-    so gradients are deterministic.
+    so gradients are deterministic. With grad=False the gradient is None.
     """
     if not mu > 0:
         raise ValueError("mu must be positive")
     d = np.asarray(delta_hat, dtype=np.float64).ravel()
     sq = float(np.dot(d, d))
     if sq > eps_hat * eps_hat:
-        return mu * (sq - eps_hat * eps_hat), 2.0 * mu * d
-    return 0.0, np.zeros_like(d)
+        return mu * (sq - eps_hat * eps_hat), 2.0 * mu * d if grad else None
+    return 0.0, np.zeros_like(d) if grad else None
 
 
 def apply_cov(w: np.ndarray, image) -> tuple[np.ndarray, np.ndarray]:
@@ -409,6 +440,11 @@ class PenalizedObjective:
     grad=False the adjoint sweep and the pull-back are skipped and the
     gradient is None; the value is bitwise the one a gradient call
     returns, because both add the same terms in the same order.
+
+    A value call given a finite `ceiling` (the optimizer's Armijo bar)
+    first computes `floor(x)`, which runs no estimator; when the floor
+    already exceeds the ceiling, or is not finite, it returns the floor
+    and skips the estimator.
     """
 
     estimator: FlowEstimator
@@ -420,13 +456,52 @@ class PenalizedObjective:
     box_min: float = math.inf
     box_max: float = -math.inf
 
-    def _penalty(self, d1, d2):
+    def _penalty(self, d1, d2, grad=True):
         pval, gpen = penalty_value_grad(
-            np.concatenate([d1.ravel(), d2.ravel()]), self.eps_hat, self.mu)
+            np.concatenate([d1.ravel(), d2.ravel()]), self.eps_hat, self.mu, grad)
+        if not grad:
+            return pval, None, None
         g = gpen.reshape((2,) + d1.shape)
         return pval, g[0], g[1]
 
-    def __call__(self, x, grad=True):
+    def _record_box(self, p1, p2):
+        self.box_min = min(self.box_min, float(p1.min()), float(p2.min()))
+        self.box_max = max(self.box_max, float(p1.max()), float(p2.max()))
+
+    def floor(self, x) -> float:
+        """A lower bound on the value at x that runs no estimator.
+
+        Every pair's loss is replaced by `_loss_floor`, and the penalty
+        terms are computed, and all terms added and divided, exactly as
+        `__call__` does it. Rounding to nearest is monotone, so each
+        rounded `+` and the division by the (positive) pair count map
+        smaller operands to a result no larger: as every loss floor is at
+        most the loss `__call__` computes, every partial sum here is at
+        most its counterpart there, and floor(x) <= value(x) holds in
+        floating point whenever the value is finite. The box extremes are
+        recorded as an evaluation records them; one pair's fields are
+        held at a time.
+        """
+        param = self.param
+        total = 0.0
+        for i1, i2, target in self.pairs:
+            d1, d2, p1, p2 = param.apply(x, i1, i2)
+            self._record_box(p1, p2)
+            lval = _loss_floor(self.loss, target.shape[-2] * target.shape[-1])
+            if param.realized:
+                lval += self._penalty(d1, d2, grad=False)[0]
+            total += lval
+        total /= len(self.pairs)
+        if not param.realized:
+            total += self._penalty(*param.fields(x, self.pairs[0][0].shape),
+                                   grad=False)[0]
+        return total
+
+    def __call__(self, x, grad=True, ceiling=math.inf):
+        if ceiling < math.inf:
+            low = self.floor(x)
+            if not low <= ceiling:  # rejected, or non-finite for the caller
+                return low, None
         param = self.param
         grad_fn = _LOSS_GRADS[self.loss]
         total = 0.0
@@ -434,8 +509,7 @@ class PenalizedObjective:
         for group in _pair_groups(self.pairs):
             fields = [param.apply(x, i1, i2) for i1, i2, _ in group]
             for _, _, p1, p2 in fields:
-                self.box_min = min(self.box_min, float(p1.min()), float(p2.min()))
-                self.box_max = max(self.box_max, float(p1.max()), float(p2.max()))
+                self._record_box(p1, p2)
             flows, vjp = self.estimator.value_and_vjp(
                 np.stack([f[2] for f in fields]), np.stack([f[3] for f in fields]))
             gflows = np.empty_like(flows)
@@ -443,7 +517,7 @@ class PenalizedObjective:
             for k, ((_, _, target), (d1, d2, _, _)) in enumerate(zip(group, fields)):
                 lval, gflows[k] = grad_fn(flows[k], target)
                 if param.realized:
-                    pval, g1, g2 = self._penalty(d1, d2)
+                    pval, g1, g2 = self._penalty(d1, d2, grad)
                     lval += pval
                     gpens.append((g1, g2))
                 total += lval
@@ -457,7 +531,8 @@ class PenalizedObjective:
             del vjp  # its tape, before the next group's forward builds one
         total /= len(self.pairs)
         if not param.realized:
-            pval, g1, g2 = self._penalty(*param.fields(x, self.pairs[0][0].shape))
+            pval, g1, g2 = self._penalty(*param.fields(x, self.pairs[0][0].shape),
+                                         grad)
             total += pval
         if not grad:
             return total, None
@@ -579,7 +654,6 @@ def ifgsm_attack(estimator: FlowEstimator, frame1, frame2, eps_inf: float,
         p1 = np.clip(i1 + d1, 0.0, 1.0)
         p2 = np.clip(i2 + d2, 0.0, 1.0)
         trace.values.append(lval)
-        trace.grad_norms.append(float(np.sqrt(np.sum(g1 * g1) + np.sum(g2 * g2))))
         trace.step_lengths.append(step)
         del vjp  # its tape, before the next step's forward builds one
     return _attack_result(estimator, PerturbMode.DISJOINT, p1 - i1, p2 - i2,

@@ -14,7 +14,6 @@ import configparser
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +35,14 @@ __all__ = ["main"]
 
 class UsageError(Exception):
     pass
+
+
+def ProcessPoolExecutor(max_workers):
+    """concurrent.futures' process pool, imported on first use: only
+    --jobs > 1 needs it, and its import (multiprocessing included) would
+    otherwise slow every start-up."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+    return pool(max_workers=max_workers)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -189,6 +196,8 @@ def _report_from_result(result: AttackResult, estimator_label: str,
 
 
 def _write_pair_artifacts(out_dir: Path, stem: str, result: AttackResult):
+    # only now: a pair that fails on its inputs leaves no output directory
+    out_dir.mkdir(parents=True, exist_ok=True)
     both = np.concatenate([result.flow_init.data, result.flow_adv.data,
                            result.target.data])
     max_mag = float(np.percentile(np.sqrt(both[0::2] ** 2 + both[1::2] ** 2), 99))
@@ -269,7 +278,6 @@ def cmd_attack(args) -> int:
         entries.append((f1, f2, gt))
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     payloads = [(estimator, cfg, method, entry, f"pair{idx:03d}", str(out_dir),
                  args.deterministic)
                 for idx, entry in enumerate(entries)]
@@ -279,6 +287,7 @@ def cmd_attack(args) -> int:
             lines = list(pool.map(_attack_one, payloads))
     else:
         lines = [_attack_one(p) for p in payloads]
+    out_dir.mkdir(parents=True, exist_ok=True)
     flowio.atomic_write_bytes(out_dir / "report.jsonl",
                               ("\n".join(lines) + "\n").encode())
     _echo_config(out_dir, _resolved_config(config, estimator, cfg, method=method,

@@ -1,12 +1,23 @@
 """Limited-memory BFGS with a backtracking Armijo line search.
 
-The objective is a callable objective(x, grad=True) -> (value, gradient)
-over a flat float64 vector. With grad=False only the value is used, and
-the objective may return (value, None) and skip its gradient work. The
-line search asks for values only: an Armijo test compares objective
-values and nothing else, so trial steps never pay for a gradient. The
-starting point and each accepted point are evaluated with the gradient;
-an accepted point is thus evaluated twice, once per kind of call.
+The objective is a callable objective(x, grad=True, ceiling=inf) ->
+(value, gradient) over a flat float64 vector. With grad=False only the
+value is used, and the objective may return (value, None) and skip its
+gradient work. The line search asks for values only: an Armijo test
+compares objective values and nothing else, so trial steps never pay for
+a gradient. The starting point and each accepted point but the last one
+max_steps permits are evaluated with the gradient; such an accepted
+point is thus evaluated twice, once per kind of call. Nothing reads a
+gradient at the last permitted step, so none is computed there.
+
+A trial passes the Armijo test when its value is at most the bar
+f + SUFFICIENT_DECREASE * t * slope, and the optimizer hands that bar to
+the value call as `ceiling`. The contract: once an objective has proved
+that its exact value exceeds `ceiling`, it may return any value above
+`ceiling` instead (a lower bound it computed more cheaply, say), since
+the trial is rejected either way. A non-finite return still raises
+NumericError. An objective that ignores `ceiling` stays correct; it only
+forgoes the saving.
 
 Each search starts from the scale of the last accepted step, not from
 scratch: on the attack objective accepted steps shrink to 1e-4..1e-11,
@@ -67,7 +78,7 @@ class LbfgsParams:
 
 @dataclass
 class OptimTrace:
-    """Per accepted step: objective value, gradient norm, step length.
+    """Per accepted step: objective value and step length.
 
     value_evals counts value-only objective calls and grad_evals the calls
     that also computed the gradient. backtracks holds, per accepted step,
@@ -76,7 +87,6 @@ class OptimTrace:
     """
 
     values: list[float] = field(default_factory=list)
-    grad_norms: list[float] = field(default_factory=list)
     step_lengths: list[float] = field(default_factory=list)
     initial_value: float = float("nan")
     value_evals: int = 0
@@ -107,9 +117,12 @@ def _two_loop(g, pairs):
 def lbfgs_minimize(objective, x0, params: LbfgsParams | None = None):
     """Minimize `objective` from `x0`; returns (x, OptimTrace).
 
-    Trial steps of the line search call objective(x, grad=False); the
-    start and every accepted point call objective(x) for the gradient.
-    The objective must return the same value from both kinds of call.
+    Trial steps of the line search call objective(x, grad=False,
+    ceiling=bar) with bar the trial's Armijo threshold; the start and
+    every accepted point but the last permitted one call objective(x) for
+    the gradient. The objective must return the same value from both
+    kinds of call, except that a value call may return any value above
+    `ceiling` once its exact value is known to exceed it.
 
     Each search after the first starts near the last accepted step (see
     INITIAL_STEP); nothing carries over between calls.
@@ -124,9 +137,9 @@ def lbfgs_minimize(objective, x0, params: LbfgsParams | None = None):
     x = np.asarray(x0, dtype=np.float64).ravel().copy()
     trace = OptimTrace()
 
-    def value(z):
+    def value(z, ceiling):
         trace.value_evals += 1
-        f, _ = objective(z, grad=False)
+        f, _ = objective(z, grad=False, ceiling=ceiling)
         if not np.isfinite(f):
             raise NumericError("non-finite objective", trace)
         return float(f)
@@ -144,7 +157,7 @@ def lbfgs_minimize(objective, x0, params: LbfgsParams | None = None):
     pairs = deque(maxlen=params.history) if params.history > 0 else None
     t_start = INITIAL_STEP
 
-    for _ in range(params.max_steps):
+    for step in range(params.max_steps):
         gnorm = float(np.linalg.norm(g))
         if gnorm <= params.grad_tol:
             trace.stop_reason = "grad_tol"
@@ -161,13 +174,20 @@ def lbfgs_minimize(objective, x0, params: LbfgsParams | None = None):
         accepted = False
         for rejected in range(params.max_backtracks):
             xn = x + t * d
-            fn = value(xn)
-            if fn <= f + SUFFICIENT_DECREASE * t * slope:
+            bar = f + SUFFICIENT_DECREASE * t * slope
+            fn = value(xn, bar)
+            if fn <= bar:
                 accepted = True
                 break
             t *= CONTRACTION
         if not accepted:
             trace.stop_reason = "line_search"
+            break
+        trace.values.append(fn)
+        trace.step_lengths.append(t)
+        trace.backtracks.append(rejected)
+        if step + 1 == params.max_steps:  # no search reads a gradient here
+            x = xn
             break
         _, gn = evaluate(xn)
         s = xn - x
@@ -182,10 +202,6 @@ def lbfgs_minimize(objective, x0, params: LbfgsParams | None = None):
                 # restart the model from steepest descent
                 pairs.clear()
         x, f, g = xn, fn, gn
-        trace.values.append(f)
-        trace.grad_norms.append(float(np.linalg.norm(g)))
-        trace.step_lengths.append(t)
-        trace.backtracks.append(rejected)
         t_start = min(INITIAL_STEP, t / CONTRACTION ** 2)
 
     return x, trace

@@ -255,11 +255,12 @@ def test_criterion_7_metric_and_optimizer_oracles():
 
     center = np.array([2.0, -3.0, 1.0])
     x, trace = lbfgs_minimize(
-        lambda z, grad=True: (0.5 * float(np.dot(z - center, z - center)), z - center),
+        lambda z, grad=True, ceiling=None: (
+            0.5 * float(np.dot(z - center, z - center)), z - center),
         np.zeros(3), LbfgsParams(max_steps=3))
     checks.append(np.linalg.norm(x - center) <= 1e-8 and len(trace) <= 3)
 
-    def rosen(z, grad=True):
+    def rosen(z, grad=True, ceiling=None):
         a, b = z
         return ((1 - a) ** 2 + 100 * (b - a * a) ** 2,
                 np.array([-2 * (1 - a) - 400 * a * (b - a * a),

@@ -3,18 +3,21 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowattack.attack import (GROUP_PIXELS, BoxConstraint, LossKind,
                                Parametrization, PcfaConfig,
                                PenalizedObjective, Target, TargetKind,
-                               _pair_groups, apply_cov, build_problem,
-                               cov_init, default_mu, ifgsm_attack, loss_aee,
-                               loss_cs, loss_mse, loss_with_grad, pcfa_attack,
-                               penalty_value_grad)
+                               _loss_floor, _pair_groups, apply_cov,
+                               build_problem, cov_init, default_mu,
+                               ifgsm_attack, loss_aee, loss_cs, loss_mse,
+                               loss_with_grad, pcfa_attack, penalty_value_grad)
 from flowattack.core import FlowField, PerturbMode, ShapeError, scale_bound
-from flowattack.diffflow import FlowEstimator, builtin_estimators
+from flowattack.diffflow import EstimatorConfig, FlowEstimator, \
+    builtin_estimators
 from flowattack.evaluation import attack_strength
-from flowattack.optim import LbfgsParams, lbfgs_minimize
+from flowattack.optim import LbfgsParams, NumericError, lbfgs_minimize
 from flowattack.synthetic import make_pair
 
 
@@ -265,13 +268,15 @@ class TestPcfaAttack:
 
 
 class CountingEstimator(FlowEstimator):
-    """Counts the adjoint sweeps its VJP closures run."""
+    """Counts its forward calls and the adjoint sweeps its VJP closures run."""
 
     def __init__(self, config):
         super().__init__(config, label="counting")
+        self.forward_calls = 0
         self.vjp_calls = 0
 
     def value_and_vjp(self, frame1, frame2):
+        self.forward_calls += 1
         flow, vjp = super().value_and_vjp(frame1, frame2)
 
         def counted(cotangent):
@@ -328,7 +333,7 @@ class TestValueOnlyObjective:
             params = LbfgsParams(max_steps=4)
             x, trace = lbfgs_minimize(fun, x0, params)
             x_ref, trace_ref = lbfgs_minimize(
-                lambda z, grad=True: always(z), x0, params)
+                lambda z, grad=True, ceiling=None: always(z), x0, params)
             assert np.array_equal(x, x_ref), name
             assert np.array_equal(trace.values, trace_ref.values), name
             assert (fun.box_min, fun.box_max) == (always.box_min, always.box_max)
@@ -342,6 +347,126 @@ class TestValueOnlyObjective:
             _, trace = lbfgs_minimize(fun, x0, LbfgsParams(max_steps=3))
             assert estimator.vjp_calls - calls_before == \
                 trace.grad_evals * len(_pair_groups(fun.pairs)), name
+
+
+class FixedFlowEstimator(FlowEstimator):
+    """Predicts one given flow for every pair, so a test can put the loss
+    anywhere in its range; value calls only."""
+
+    def __init__(self, flow):
+        super().__init__(EstimatorConfig(), label="fixed")
+        self.flow = flow
+
+    def value_and_vjp(self, frame1, frame2):
+        lead = frame1.shape[:-3]
+        return np.broadcast_to(self.flow, lead + self.flow.shape).copy(), None
+
+
+# five 64x64 pairs run as two groups, four pairs and one
+FLOOR_GRID = 64
+
+
+@st.composite
+def floor_cases(draw):
+    """An objective over 1 or 5 pairs whose predicted flow is `scale` times
+    a random field and whose targets are that field scaled by +-[0.5, 2]
+    (aligned or anti-aligned), a point x, and a ceiling placed below, at
+    or between the floor and the exact value, or above both."""
+    loss = draw(st.sampled_from(list(LossKind)))
+    realized = draw(st.booleans())
+    count = draw(st.sampled_from([1, 5]))
+    scale = 10.0 ** draw(st.integers(-3, 60))
+    sign = draw(st.sampled_from([-1.0, 1.0]))
+    eps_hat = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    spot = draw(st.sampled_from(["below", "floor", "between", "value", "above"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    grid = (FLOOR_GRID, FLOOR_GRID)
+    flow = scale * rng.normal(size=(2,) + grid)
+    pairs = [(rng.uniform(size=(1,) + grid), rng.uniform(size=(1,) + grid),
+              sign * rng.uniform(0.5, 2.0) * flow) for _ in range(count)]
+    mode = PerturbMode.DISJOINT if realized else PerturbMode.JOINT
+    param = Parametrization(BoxConstraint.CLIPPING, mode, realized)
+    x = rng.normal(0.0, 0.1, param.start(*pairs[0][:2]).shape)
+
+    def make():
+        return PenalizedObjective(FixedFlowEstimator(flow), param, pairs, loss,
+                                  eps_hat, mu=10.0)
+    return make, x, spot
+
+
+class TestPenaltyFloor:
+    """A value call given a ceiling returns the exact value, or a value
+    above the ceiling that is no larger than the exact value."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(floor_cases())
+    def test_ceiling_returns_exact_value_or_a_lower_bound_above_it(self, case):
+        make, x, spot = case
+        exact = make()(x, grad=False)[0]
+        floor = make().floor(x)
+        assert floor <= exact
+        ceiling = {"below": floor - abs(floor) * 1e-3 - 1e-12, "floor": floor,
+                   "between": 0.5 * (floor + exact), "value": exact,
+                   "above": exact + abs(exact) + 1.0}[spot]
+        got, grad = make()(x, grad=False, ceiling=ceiling)
+        assert grad is None
+        assert got == exact or ceiling < got <= exact
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 64), st.integers(0, 300), st.integers(0, 2 ** 16))
+    def test_cs_floor_holds_for_anti_aligned_flows(self, npx, exponent, seed):
+        # rounding takes such a mean a few ulps below -1
+        rng = np.random.default_rng(seed)
+        a = 10.0 ** (exponent - 150) * rng.normal(size=(2, 1, npx))
+        b = -rng.uniform(0.5, 2.0) * a
+        assert loss_cs(a, b) >= _loss_floor(LossKind.CS, npx)
+
+    def test_floor_rejected_trial_runs_no_estimator(self, fast_estimator):
+        estimator = CountingEstimator(fast_estimator.config)
+        for name, make, x0 in value_only_cases(estimator):
+            fun = make(1e-3)
+            x = x0 + 0.5  # far outside the budget
+            floor = fun.floor(x)
+            assert floor > 0.0, name
+            calls = estimator.forward_calls
+            assert fun(x, grad=False, ceiling=0.5 * floor) == (floor, None), name
+            assert estimator.forward_calls == calls, name
+            # at the floor nothing is proved, so the estimator runs
+            value, _ = fun(x, grad=False, ceiling=floor)
+            assert value >= floor, name
+            assert estimator.forward_calls == \
+                calls + len(_pair_groups(fun.pairs)), name
+
+    def test_line_search_skips_the_estimator_on_rejected_trials(
+            self, fast_estimator):
+        estimator = CountingEstimator(fast_estimator.config)
+        skipped = 0
+        for name, make, x0 in value_only_cases(estimator):
+            fun = make(1e-1)
+            calls = estimator.forward_calls
+            _, trace = lbfgs_minimize(fun, x0, LbfgsParams(max_steps=4))
+            solved = (estimator.forward_calls - calls) // len(_pair_groups(fun.pairs))
+            assert solved <= trace.value_evals + trace.grad_evals, name
+            skipped += trace.value_evals + trace.grad_evals - solved
+        assert skipped > 0
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_infinite_penalty_still_raises_numeric_error(self, fast_estimator):
+        estimator = CountingEstimator(fast_estimator.config)
+        f1, f2, _ = make_pair(31, 16, 16)
+        param = Parametrization(BoxConstraint.CLIPPING, PerturbMode.JOINT, False)
+        fun = PenalizedObjective(estimator, param,
+                                 [(f1.data, f2.data, np.zeros((2, 16, 16)))],
+                                 LossKind.AEE, eps_hat=1e-3, mu=1e160)
+        x0 = np.full(f1.data.size, 1e-2)
+        assert fun(np.full_like(x0, 1e160), grad=False, ceiling=0.0) == \
+            (math.inf, None)
+        assert estimator.forward_calls == 0
+        with pytest.raises(NumericError) as excinfo:
+            lbfgs_minimize(fun, x0, LbfgsParams(max_steps=3))
+        assert (excinfo.value.trace.value_evals,
+                excinfo.value.trace.grad_evals) == (1, 1)
+        assert estimator.forward_calls == 1  # the start only
 
 
 def reference_objective(fun, x, grad=True):

@@ -47,9 +47,10 @@ class TestAttackCommand:
         assert record["mu"] == 5e5  # default pairing applied and echoed
         assert record["runtime_ms"] == 0.0
         trace = record["trace"]
-        assert trace["grad_evals"] == trace["steps_taken"] + 1
+        # the start and every accepted step but the last permitted one
+        assert trace["stop_reason"] == "max_steps"
+        assert trace["grad_evals"] == trace["steps_taken"]
         assert trace["value_evals"] >= trace["steps_taken"]
-        assert trace["stop_reason"] in ("max_steps", "grad_tol", "line_search")
         for suffix in ("flow_init", "flow_adv", "flow_target", "delta1",
                        "delta2", "img_adv1", "img_adv2"):
             assert (out / f"pair000_{suffix}.png").is_file()
@@ -135,6 +136,7 @@ class TestAttackCommand:
         err = capsys.readouterr().err
         assert err == ("shape mismatch: custom target does not match "
                        "the frame grid\n")
+        assert not (tmp_path / "out").exists()
 
     def test_corrupt_target_file_is_io_error(self, tmp_path, capsys):
         flo = tmp_path / "bad.flo"

@@ -1,7 +1,10 @@
 """The runtime stays numpy-only: every import in the package is from the
-standard library, numpy or the package itself."""
+standard library, numpy or the package itself. Importing the CLI loads no
+process-pool machinery."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -31,3 +34,17 @@ def test_modules_found():
 def test_imports_stdlib_numpy_or_package(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert set(imported_roots(tree)) <= ALLOWED
+
+
+def test_cli_import_leaves_process_pools_unloaded():
+    """Only `attack --jobs N` with N > 1 needs a process pool; importing it
+    on every start-up would slow every run."""
+    code = ("import sys, flowattack.cli; "
+            "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') "
+            "if m in sys.modules))")
+    src = str(Path(flowattack.__file__).parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

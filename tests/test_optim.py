@@ -6,13 +6,13 @@ from flowattack.optim import CONTRACTION, INITIAL_STEP, LbfgsParams, \
 
 
 def quadratic(center):
-    def fun(x, grad=True):
+    def fun(x, grad=True, ceiling=None):
         d = x - center
         return 0.5 * float(np.dot(d, d)), d
     return fun
 
 
-def rosenbrock(x, grad=True):
+def rosenbrock(x, grad=True, ceiling=None):
     a, b = x
     val = (1 - a) ** 2 + 100 * (b - a * a) ** 2
     grad = np.array([-2 * (1 - a) - 400 * a * (b - a * a),
@@ -48,7 +48,7 @@ def test_monotone_descent():
     psd = mat @ mat.T + np.eye(6)
     rhs = rng.normal(size=6)
 
-    def fun(x, grad=True):
+    def fun(x, grad=True, ceiling=None):
         return 0.5 * float(x @ psd @ x) - float(rhs @ x), psd @ x - rhs
 
     _, trace = lbfgs_minimize(fun, rng.normal(size=6), LbfgsParams(max_steps=30))
@@ -58,7 +58,7 @@ def test_monotone_descent():
 
 def test_nonsmooth_objective_descends():
     # kinked objective: |x| + quadratic; optimizer must not oscillate upward
-    def fun(x, grad=True):
+    def fun(x, grad=True, ceiling=None):
         return float(np.sum(np.abs(x))) + 0.5 * float(np.dot(x, x)), \
             np.sign(x) + x
 
@@ -74,7 +74,7 @@ def test_history_zero_matches_gradient_descent():
     mat = rng.normal(size=(4, 4))
     psd = mat @ mat.T + np.eye(4)
 
-    def fun(x, grad=True):
+    def fun(x, grad=True, ceiling=None):
         return 0.5 * float(x @ psd @ x), psd @ x
 
     x0 = rng.normal(size=4)
@@ -100,7 +100,7 @@ def test_history_zero_matches_gradient_descent():
 def test_nonfinite_raises_numeric_error():
     calls = {"n": 0}
 
-    def fun(x, grad=True):
+    def fun(x, grad=True, ceiling=None):
         calls["n"] += 1
         if calls["n"] > 2:
             return float("nan"), np.zeros_like(x)
@@ -114,17 +114,39 @@ def test_nonfinite_raises_numeric_error():
 def test_trials_are_value_only():
     calls = {True: 0, False: 0}
 
-    def fun(x, grad=True):
+    def fun(x, grad=True, ceiling=None):
         calls[grad] += 1
         val, g = rosenbrock(x)
         return val, g if grad else None
 
     _, trace = lbfgs_minimize(fun, np.array([-1.2, 1.0]),
                               LbfgsParams(max_steps=30))
-    # the start and every accepted point pay for a gradient, trials do not
-    assert trace.grad_evals == calls[True] == 1 + len(trace)
+    # the start and every accepted point but the last permitted one pay
+    # for a gradient, trials do not
+    assert trace.grad_evals == calls[True] == len(trace)
     assert trace.value_evals == calls[False] >= len(trace)
     assert trace.stop_reason == "max_steps"
+
+
+def test_ceiling_is_the_armijo_bar():
+    """A value call may answer anything above its ceiling once its value
+    exceeds it: exactly the accepted trials fall at or below the ceiling,
+    and the iterates do not change."""
+    passed = []
+
+    def bounded(x, grad=True, ceiling=None):
+        val, g = rosenbrock(x)
+        if grad:
+            return val, g
+        passed.append(val <= ceiling)
+        return (val, None) if val <= ceiling else (ceiling + 1.0, None)
+
+    x0, params = np.array([-1.2, 1.0]), LbfgsParams(max_steps=30)
+    x_ref, ref = lbfgs_minimize(rosenbrock, x0, params)
+    x, trace = lbfgs_minimize(bounded, x0, params)
+    assert np.array_equal(x, x_ref)
+    assert (trace.values, trace.backtracks) == (ref.values, ref.backtracks)
+    assert sum(passed) == len(trace) < len(passed) == trace.value_evals
 
 
 def test_stop_reasons():
@@ -133,7 +155,7 @@ def test_stop_reasons():
     assert trace.stop_reason == "grad_tol"
     assert (trace.value_evals, trace.grad_evals) == (0, 1)
 
-    def uphill(x, grad=True):
+    def uphill(x, grad=True, ceiling=None):
         # the reported gradient points uphill, so no trial decreases
         return float(np.dot(x, x)), -2 * x
 
@@ -145,7 +167,7 @@ def test_stop_reasons():
 
 
 def test_nonfinite_trial_value_raises_numeric_error():
-    def fun(x, grad=True):
+    def fun(x, grad=True, ceiling=None):
         if not grad:
             return float("nan"), None
         return float(np.sum(x ** 2)), 2 * x
@@ -157,7 +179,7 @@ def test_nonfinite_trial_value_raises_numeric_error():
 
 
 def test_nonfinite_gradient_at_accepted_point_raises():
-    def fun(x, grad=True):
+    def fun(x, grad=True, ceiling=None):
         g = 2 * x if abs(x[0]) == 4.0 else np.full_like(x, np.inf)
         return float(np.sum(x ** 2)), g
 
@@ -184,7 +206,7 @@ def _spent_as_counted(trace, params):
     (rosenbrock, [-1.2, 1.0], LbfgsParams(max_steps=30)),
     (rosenbrock, [-1.2, 1.0], LbfgsParams(max_steps=30, history=0)),
     (quadratic(np.array([1.0, -2.0])), [5.0, 5.0], LbfgsParams()),
-    (lambda x, grad=True: (float(np.dot(x, x)), -2 * x), [1.0, 1.0],
+    (lambda x, grad=True, ceiling=None: (float(np.dot(x, x)), -2 * x), [1.0, 1.0],
      LbfgsParams(max_backtracks=5)),
 ])
 def test_backtracks_account_for_every_value_eval(fun, x0, params):
@@ -200,7 +222,7 @@ def test_backtracks_record_rejected_trials():
     _, trace = lbfgs_minimize(quadratic(np.zeros(1)), np.array([4.0]),
                               LbfgsParams(max_steps=1, history=0))
     assert trace.backtracks == [0]
-    _, trace = lbfgs_minimize(lambda x, grad=True: (float(x @ x), 2 * x),
+    _, trace = lbfgs_minimize(lambda x, grad=True, ceiling=None: (float(x @ x), 2 * x),
                               np.array([4.0]), LbfgsParams(max_steps=1, history=0))
     assert trace.backtracks == [1]
     assert trace.step_lengths == [0.5]
@@ -208,17 +230,19 @@ def test_backtracks_record_rejected_trials():
 
 def _searches(fun, x0, params):
     """Run lbfgs_minimize with a spy; returns the trace and, per accepted
-    step, (start point, first trial, accepted point)."""
+    step, (start point, first trial, accepted point). A run that stops at
+    max_steps evaluates no gradient at its last step, so that step's
+    accepted point is the last call, a trial."""
     calls = []
 
-    def spy(x, grad=True):
+    def spy(x, grad=True, ceiling=None):
         calls.append((grad, x.copy()))
         return fun(x, grad)
 
     _, trace = lbfgs_minimize(spy, x0, params)
     starts = [i for i, (grad, _) in enumerate(calls) if grad]
     steps = [(calls[a][1], calls[a + 1][1], calls[b][1])
-             for a, b in zip(starts, starts[1:])]
+             for a, b in zip(starts, starts[1:] + [len(calls) - 1])]
     return trace, steps
 
 
@@ -237,7 +261,7 @@ def test_search_starts_from_last_accepted_step(history):
                            rtol=1e-12, atol=1e-15)
 
 
-def _stiff_quadratic(x, grad=True):
+def _stiff_quadratic(x, grad=True, ceiling=None):
     # curvatures 0.5e6..1e6: steepest descent accepts steps near 1e-6
     scale = np.linspace(0.5e6, 1e6, x.size)
     return 0.5 * float(np.dot(scale * x, x)), scale * x

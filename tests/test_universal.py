@@ -248,7 +248,7 @@ class TestTrainUniversal:
         def recording(objective, x0, params):
             points = []
 
-            def spy(x, grad=True):
+            def spy(x, grad=True, ceiling=None):
                 points.append(x.copy())
                 return objective(x, grad)
 
