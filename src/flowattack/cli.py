@@ -58,6 +58,10 @@ _SCHEMA = {
     "dataset": {"manifest"},
     "transfer": {"estimators", "perturbations"},
 }
+# Every key outside [estimator] is also the argparse dest of the flag that
+# overrides it: dest -> (section, key).
+_FLAGS = {key: (section, key) for section, keys in _SCHEMA.items()
+          if section != "estimator" for key in keys}
 
 
 def _load_config(path) -> dict[str, dict[str, str]]:
@@ -89,18 +93,26 @@ def _echo_config(out_dir: Path, resolved: dict[str, dict[str, str]]):
 
 
 def _build_estimator(section: dict[str, str]) -> FlowEstimator:
+    """The built-in estimator `label` names, or a solver that starts from
+    its configuration (from `hs` for a new label) and applies the section's
+    solver keys; a label that is neither is a usage error."""
     label = section.get("label", "hs")
     builtin = builtin_estimators()
-    overrides = {k for k in section if k != "label"}
-    if not overrides and label in builtin:
+    if set(section) <= {"label"}:
+        if label not in builtin:
+            raise UsageError(f"unknown estimator {label!r}: not built in "
+                             f"({', '.join(builtin)}) and sets no solver key")
         return builtin[label]
     base = builtin.get(label, builtin["hs"]).config
-    cfg = EstimatorConfig(
-        alpha=float(section.get("alpha", base.alpha)),
-        iterations=int(section.get("iterations", base.iterations)),
-        pyramid_levels=int(section.get("levels", base.pyramid_levels)),
-        warp=_parse_bool(section.get("warp", str(base.warp))),
-    )
+    try:
+        cfg = EstimatorConfig(
+            alpha=float(section.get("alpha", base.alpha)),
+            iterations=int(section.get("iterations", base.iterations)),
+            pyramid_levels=int(section.get("levels", base.pyramid_levels)),
+            warp=_parse_bool(section.get("warp", str(base.warp))),
+        )
+    except ValueError as exc:
+        raise UsageError(f"estimator {label!r}: {exc}") from None
     return FlowEstimator(cfg, label=label)
 
 
@@ -147,10 +159,11 @@ def _build_attack_config(section: dict[str, str], seed: int) -> PcfaConfig:
 
 def _resolved_config(config: dict, estimator: FlowEstimator, cfg: PcfaConfig,
                      **attack_keys: str) -> dict[str, dict[str, str]]:
-    """`config` with its [attack] and [estimator] sections replaced by the
-    values the run actually uses, defaults included."""
+    """`config` with the values the run actually uses, defaults included,
+    in its [attack] and [estimator] sections."""
     resolved = dict(config)
     resolved["attack"] = {
+        **config.get("attack", {}),  # target_file, if given, as given
         "eps2": repr(cfg.epsilon2),
         "mu": "auto" if cfg.mu is None else repr(cfg.mu),
         "loss": cfg.loss.value, "target": cfg.target.kind.value,
@@ -164,12 +177,32 @@ def _resolved_config(config: dict, estimator: FlowEstimator, cfg: PcfaConfig,
     return resolved
 
 
-def _merge_cli(config: dict, args, section: str, keys: dict[str, str]):
-    target = config.setdefault(section, {})
-    for attr, key in keys.items():
-        value = getattr(args, attr, None)
-        if value is not None:
-            target[key] = str(value)
+def _merge_cli(config: dict, args):
+    """Flags override the configuration file, key by key; an empty flag
+    value overrides nothing."""
+    for dest, (section, key) in _FLAGS.items():
+        value = getattr(args, dest, None)
+        if value not in (None, ""):
+            config.setdefault(section, {})[key] = \
+                ",".join(value) if isinstance(value, list) else str(value)
+
+
+def _settings(args) -> dict[str, dict[str, str]]:
+    """The configuration file, if any, with the command-line flags merged in."""
+    config = _load_config(args.config) if args.config else {}
+    _merge_cli(config, args)
+    return config
+
+
+def _read_manifest(config: dict, what: str) -> DatasetManifest:
+    path = config.get("dataset", {}).get("manifest")
+    if not path:
+        raise UsageError(f"{what} requires a dataset manifest")
+    return DatasetManifest.from_file(path)
+
+
+def _split(text: str) -> list[str]:
+    return [s.strip() for s in text.split(",") if s.strip()]
 
 
 def _report_from_result(result: AttackResult, estimator_label: str,
@@ -195,23 +228,27 @@ def _report_from_result(result: AttackResult, estimator_label: str,
     )
 
 
+def _write_delta_images(out_dir: Path, stem: str, pert) -> list[Path]:
+    """`<stem>_delta<k>.png`: one normalized image per perturbation."""
+    paths = []
+    for k, img in enumerate(flowio.perturbation_to_image(pert), start=1):
+        paths.append(out_dir / f"{stem}_delta{k}.png")
+        flowio.write_image_png(paths[-1], img)
+    return paths
+
+
 def _write_pair_artifacts(out_dir: Path, stem: str, result: AttackResult):
     # only now: a pair that fails on its inputs leaves no output directory
     out_dir.mkdir(parents=True, exist_ok=True)
-    both = np.concatenate([result.flow_init.data, result.flow_adv.data,
-                           result.target.data])
+    flows = {"init": result.flow_init, "adv": result.flow_adv,
+             "target": result.target}
+    both = np.concatenate([flow.data for flow in flows.values()])
     max_mag = float(np.percentile(np.sqrt(both[0::2] ** 2 + both[1::2] ** 2), 99))
     max_mag = max(max_mag, 1e-12)
-    flowio.write_image_png(out_dir / f"{stem}_flow_init.png",
-                           flowio.flow_to_color(result.flow_init, max_mag))
-    flowio.write_image_png(out_dir / f"{stem}_flow_adv.png",
-                           flowio.flow_to_color(result.flow_adv, max_mag))
-    flowio.write_image_png(out_dir / f"{stem}_flow_target.png",
-                           flowio.flow_to_color(result.target, max_mag))
-    deltas = flowio.perturbation_to_image(result.perturbation)
-    flowio.write_image_png(out_dir / f"{stem}_delta1.png", deltas[0])
-    if len(deltas) > 1:
-        flowio.write_image_png(out_dir / f"{stem}_delta2.png", deltas[1])
+    for name, flow in flows.items():
+        flowio.write_image_png(out_dir / f"{stem}_flow_{name}.png",
+                               flowio.flow_to_color(flow, max_mag))
+    _write_delta_images(out_dir, stem, result.perturbation)
     flowio.write_image_png(out_dir / f"{stem}_img_adv1.png", result.frame1_adv)
     flowio.write_image_png(out_dir / f"{stem}_img_adv2.png", result.frame2_adv)
 
@@ -246,11 +283,7 @@ def _attack_one(payload):
 def cmd_attack(args) -> int:
     if args.jobs < 1:
         raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
-    config = _load_config(args.config) if args.config else {}
-    _merge_cli(config, args, "attack",
-               {"eps2": "eps2", "mu": "mu", "loss": "loss", "target": "target",
-                "target_file": "target_file", "box": "box", "mode": "mode",
-                "steps": "steps", "method": "method"})
+    config = _settings(args)
     estimator = _build_estimator(config.get("estimator", {}))
     atk_section = config.get("attack", {})
     method = atk_section.get("method", "pcfa")
@@ -258,24 +291,18 @@ def cmd_attack(args) -> int:
         raise UsageError(f"unknown attack method {method!r}")
     cfg = _build_attack_config(atk_section, args.seed)
 
-    entries = []
+    manifest = config.get("dataset", {}).get("manifest")
     if args.frames:
-        for p in args.frames:
-            if not Path(p).is_file():
-                raise OSError(f"input file not found: {p}")
-        entries.append((args.frames[0], args.frames[1], None))
-    elif args.manifest or config.get("dataset", {}).get("manifest"):
-        manifest_path = args.manifest or config["dataset"]["manifest"]
-        manifest = DatasetManifest.from_file(manifest_path)
-        for entry in manifest.entries:  # fail before any output is produced
-            for p in entry:
-                if isinstance(p, str) and not Path(p).is_file():
-                    raise OSError(f"input file not found: {p}")
-        entries.extend(manifest.entries)
+        entries = [(*args.frames, None)]
+    elif manifest:
+        entries = DatasetManifest.from_file(manifest).entries
     else:
         # no inputs given: run on one seeded synthetic pair
-        f1, f2, gt = make_pair(args.seed)
-        entries.append((f1, f2, gt))
+        entries = [make_pair(args.seed)]
+    for entry in entries:  # fail before any output is produced
+        for p in entry:
+            if isinstance(p, str) and not Path(p).is_file():
+                raise OSError(f"input file not found: {p}")
 
     out_dir = Path(args.out)
     payloads = [(estimator, cfg, method, entry, f"pair{idx:03d}", str(out_dir),
@@ -298,13 +325,7 @@ def cmd_attack(args) -> int:
 
 
 def cmd_universal(args) -> int:
-    config = _load_config(args.config) if args.config else {}
-    _merge_cli(config, args, "attack",
-               {"eps2": "eps2", "mu": "mu", "loss": "loss", "target": "target",
-                "target_file": "target_file", "mode": "mode"})
-    _merge_cli(config, args, "universal",
-               {"epochs": "epochs", "batch_size": "batch_size",
-                "steps": "steps_per_batch"})
+    config = _settings(args)
     estimator = _build_estimator(config.get("estimator", {}))
     atk_section = config.get("attack", {})
     if "steps" in atk_section:
@@ -318,11 +339,7 @@ def cmd_universal(args) -> int:
             k: int(v) for k, v in config.get("universal", {}).items()})
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-
-    manifest_path = args.manifest or config.get("dataset", {}).get("manifest")
-    if not manifest_path:
-        raise UsageError("universal training requires a dataset manifest")
-    manifest = DatasetManifest.from_file(manifest_path)
+    manifest = _read_manifest(config, "universal training")
 
     start = time.perf_counter()
     pert = train_universal(estimator, manifest, ucfg)
@@ -332,10 +349,7 @@ def cmd_universal(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     flowio.write_perturbation(out_dir / "universal_delta.npz", pert)
-    images = flowio.perturbation_to_image(pert)
-    flowio.write_image_png(out_dir / "universal_delta1.png", images[0])
-    if len(images) > 1:
-        flowio.write_image_png(out_dir / "universal_delta2.png", images[1])
+    _write_delta_images(out_dir, "universal", pert)
     summary = {
         "estimator": estimator.label,
         "mode": cfg.mode.value,
@@ -358,31 +372,17 @@ def cmd_universal(args) -> int:
 
 
 def cmd_transfer(args) -> int:
-    config = _load_config(args.config) if args.config else {}
+    config = _settings(args)
     section = config.get("transfer", {})
-    est_names = args.estimators or section.get("estimators", "hs,hs-pyr")
-    labels = [s.strip() for s in est_names.split(",") if s.strip()]
-    builtin = builtin_estimators()
-    estimators = []
-    for label in labels:
-        key = f"estimator.{label}"
-        if key in config:
-            sec = dict(config[key])
-            sec.setdefault("label", label)
-            estimators.append(_build_estimator(sec))
-        elif label in builtin:
-            estimators.append(builtin[label])
-        else:
-            raise UsageError(f"unknown estimator {label!r}")
-    pert_paths = args.perturbations or [
-        p.strip() for p in section.get("perturbations", "").split(",") if p.strip()]
-    if not pert_paths:
-        raise UsageError("transfer needs at least one perturbation file")
+    estimators = [_build_estimator({"label": label,
+                                    **config.get(f"estimator.{label}", {})})
+                  for label in _split(section.get("estimators", "hs,hs-pyr"))]
+    pert_paths = _split(section.get("perturbations", ""))
+    if not (estimators and pert_paths):
+        raise UsageError("transfer needs at least one estimator and one "
+                         "perturbation file")
     perturbations = [flowio.read_perturbation(p) for p in pert_paths]
-    manifest_path = args.manifest or config.get("dataset", {}).get("manifest")
-    if not manifest_path:
-        raise UsageError("transfer requires a dataset manifest")
-    manifest = DatasetManifest.from_file(manifest_path)
+    manifest = _read_manifest(config, "transfer")
 
     matrix, valid = transfer_matrix(estimators, perturbations, manifest)
     out_dir = Path(args.out)
@@ -416,23 +416,19 @@ def cmd_transfer(args) -> int:
 
 
 def cmd_viz(args) -> int:
+    if not (args.flow or args.pert):
+        raise UsageError("viz needs --flow and/or --pert")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     wrote = []
     if args.flow:
         flow, _ = flowio.read_flow_any(args.flow)
         img = flowio.flow_to_color(flow, args.max_mag)
-        dest = out_dir / (Path(args.flow).stem + "_flow.png")
-        flowio.write_image_png(dest, img)
-        wrote.append(dest)
+        wrote.append(out_dir / (Path(args.flow).stem + "_flow.png"))
+        flowio.write_image_png(wrote[-1], img)
     if args.pert:
         pert = flowio.read_perturbation(args.pert)
-        for k, img in enumerate(flowio.perturbation_to_image(pert), start=1):
-            dest = out_dir / (Path(args.pert).stem + f"_delta{k}.png")
-            flowio.write_image_png(dest, img)
-            wrote.append(dest)
-    if not wrote:
-        raise UsageError("viz needs --flow and/or --pert")
+        wrote += _write_delta_images(out_dir, Path(args.pert).stem, pert)
     for dest in wrote:
         print(dest)
     return 0
@@ -483,29 +479,26 @@ def _build_parser() -> _Parser:
                              "byte-reproducible")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_attack = sub.add_parser("attack", help="attack frame pairs")
+    shared = argparse.ArgumentParser(add_help=False)  # attack and universal
+    shared.add_argument("--manifest")
+    shared.add_argument("--eps2", type=float)
+    shared.add_argument("--mu", type=float)
+    shared.add_argument("--loss", choices=[l.value for l in LossKind])
+    shared.add_argument("--target", choices=[t.value for t in TargetKind])
+    shared.add_argument("--target-file", dest="target_file")
+    shared.add_argument("--mode", choices=[m.value for m in PerturbMode])
+
+    p_attack = sub.add_parser("attack", parents=[shared],
+                              help="attack frame pairs")
     p_attack.add_argument("--frames", nargs=2, metavar=("IMG1", "IMG2"))
-    p_attack.add_argument("--manifest")
     p_attack.add_argument("--method", choices=["pcfa", "ifgsm"])
-    p_attack.add_argument("--eps2", type=float)
-    p_attack.add_argument("--mu", type=float)
-    p_attack.add_argument("--loss", choices=[l.value for l in LossKind])
-    p_attack.add_argument("--target", choices=[t.value for t in TargetKind])
-    p_attack.add_argument("--target-file", dest="target_file")
     p_attack.add_argument("--box", choices=[b.value for b in BoxConstraint])
-    p_attack.add_argument("--mode", choices=[m.value for m in PerturbMode])
     p_attack.add_argument("--steps", type=int)
     p_attack.set_defaults(func=cmd_attack)
 
-    p_uni = sub.add_parser("universal", help="train a universal perturbation")
-    p_uni.add_argument("--manifest")
-    p_uni.add_argument("--eps2", type=float)
-    p_uni.add_argument("--mu", type=float)
-    p_uni.add_argument("--loss", choices=[l.value for l in LossKind])
-    p_uni.add_argument("--target", choices=[t.value for t in TargetKind])
-    p_uni.add_argument("--target-file", dest="target_file")
-    p_uni.add_argument("--mode", choices=[m.value for m in PerturbMode])
-    p_uni.add_argument("--steps", type=int,
+    p_uni = sub.add_parser("universal", parents=[shared],
+                           help="train a universal perturbation")
+    p_uni.add_argument("--steps", dest="steps_per_batch", type=int,
                        help="optimizer steps per minibatch")
     p_uni.add_argument("--epochs", type=int)
     p_uni.add_argument("--batch-size", dest="batch_size", type=int)

@@ -17,6 +17,7 @@ bytes its header declares. Malformed input raises `FormatError`.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import math
 import os
@@ -47,12 +48,17 @@ _DEFLATE_MAX_RATIO = 1032
 
 def atomic_write_bytes(path, data: bytes):
     """Write via a sibling temp file + rename, so readers never see a
-    partial file."""
+    partial file. A failed write or rename removes the temp file."""
     path = os.fspath(path)
     tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import argparse
 import configparser
 import json
 
@@ -7,7 +8,7 @@ import pytest
 from flowattack import cli
 from flowattack import io as flowio
 from flowattack.cli import main
-from flowattack.core import FlowField
+from flowattack.core import FlowField, Perturbation, PerturbMode
 from flowattack.synthetic import make_pair
 
 
@@ -246,6 +247,59 @@ class TestConfigFile:
         cfg.write_text("[attacker]\neps2 = 1e-3\n")
         assert run(["--config", cfg, "attack"]) == 1
 
+    @pytest.mark.parametrize("command", ["attack", "universal", "transfer"])
+    def test_unknown_estimator_label_rejected(self, tmp_path, tiny_manifest,
+                                              capsys, command):
+        # hs_pyr is a typo of hs-pyr and sets no solver key
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[estimator]\nlabel = hs_pyr\n")
+        pert = tmp_path / "zero.npz"
+        flowio.write_perturbation(
+            pert, Perturbation.zeros(PerturbMode.JOINT, (1, 24, 24)))
+        extra = {"attack": [],
+                 "universal": ["--manifest", tiny_manifest],
+                 "transfer": ["--estimators", "hs_pyr", "--perturbations",
+                              pert, "--manifest", tiny_manifest]}[command]
+        out = tmp_path / "out"
+        assert run(["--config", cfg, "--out", out, command, *extra]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: unknown estimator 'hs_pyr'")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_new_estimator_label_with_solver_key(self, tmp_path):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[estimator]\nlabel = coarse\niterations = 5\n")
+        out = tmp_path / "out"
+        assert run(["--config", cfg, "--out", out, "attack", "--steps", 1]) == 0
+        echo = configparser.ConfigParser()
+        echo.read(out / "config_echo.ini")
+        assert dict(echo["estimator"]) == {
+            "label": "coarse", "alpha": "0.05", "iterations": "5",
+            "levels": "1", "warp": "false"}
+
+    @pytest.mark.parametrize("line", ["iterations = abc", "alpha = -1",
+                                      "levels = 0", "warp = maybe"])
+    def test_bad_solver_value_is_usage_error(self, tmp_path, capsys, line):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[estimator]\nlabel = hs\n{line}\n")
+        out = tmp_path / "out"
+        assert run(["--config", cfg, "--out", out, "attack"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_echo_records_target_file(self, tmp_path):
+        flo = tmp_path / "zero.flo"
+        flowio.write_flo(flo, FlowField(np.zeros((2, 64, 64))))
+        out = tmp_path / "out"
+        assert run(["--out", out, "attack", "--target", "custom",
+                    "--target-file", flo, "--steps", 1]) == 0
+        echo = configparser.ConfigParser()
+        echo.read(out / "config_echo.ini")
+        assert echo["attack"]["target"] == "custom"
+        assert echo["attack"]["target_file"] == str(flo)
+
 
 class TestUniversalAndTransfer:
     def test_universal_then_transfer(self, tmp_path, tiny_manifest):
@@ -269,6 +323,12 @@ class TestUniversalAndTransfer:
         rows = [json.loads(line) for line in
                 (tr_out / "transfer.jsonl").read_text().splitlines()]
         assert rows[0]["robustness"] is not None
+        echo = configparser.ConfigParser()
+        echo.read(tr_out / "config_echo.ini")
+        assert dict(echo["transfer"]) == {
+            "estimators": "hs",
+            "perturbations": str(out / "universal_delta.npz")}
+        assert echo["dataset"]["manifest"] == str(tiny_manifest)
 
     def test_universal_steps_are_per_batch(self, tmp_path, tiny_manifest):
         deltas = {}
@@ -287,6 +347,7 @@ class TestUniversalAndTransfer:
             assert echo["universal"]["batch_size"] == "4"
             assert echo["attack"]["box"] == "clipping"
             assert echo["attack"]["mu"] == "auto"
+            assert echo["dataset"]["manifest"] == str(tiny_manifest)
         assert not np.array_equal(deltas[1].first, deltas[3].first)
 
     def test_transfer_grid_mismatch_renders_na(self, tmp_path, tiny_manifest):
@@ -334,6 +395,24 @@ class TestUniversalAndTransfer:
         assert err == "shape mismatch: pair grid 32x32 != declared 24x24\n"
         assert not (tmp_path / "uni").exists()
 
+    @pytest.mark.parametrize("keys", ["estimators = ,\nperturbations = {pert}",
+                                      "estimators = hs\nperturbations = ,"])
+    def test_transfer_needs_estimator_and_perturbation(self, tmp_path,
+                                                       tiny_manifest, capsys,
+                                                       keys):
+        pert = tmp_path / "zero.npz"
+        flowio.write_perturbation(
+            pert, Perturbation.zeros(PerturbMode.JOINT, (1, 24, 24)))
+        cfg = tmp_path / "tr.ini"
+        cfg.write_text("[transfer]\n" + keys.format(pert=pert) + "\n")
+        out = tmp_path / "tr"
+        assert run(["--config", cfg, "--out", out, "transfer",
+                    "--manifest", tiny_manifest]) == 1
+        err = capsys.readouterr().err
+        assert err == ("usage error: transfer needs at least one estimator "
+                       "and one perturbation file\n")
+        assert not out.exists()
+
     def test_universal_requires_manifest(self, tmp_path):
         assert run(["--out", tmp_path / "x", "universal"]) == 1
 
@@ -349,6 +428,7 @@ class TestVizAndCheckgrad:
 
     def test_viz_needs_an_input(self, tmp_path):
         assert run(["--out", tmp_path / "v", "viz"]) == 1
+        assert not (tmp_path / "v").exists()
 
     def test_checkgrad_h_zero_rejected(self):
         assert run(["checkgrad", "--h", "0"]) == 1
@@ -366,3 +446,16 @@ class TestUsage:
 
     def test_bad_flag_value(self):
         assert run(["attack", "--box", "quantum"]) == 1
+
+    def test_every_configuration_flag_has_a_schema_key(self):
+        # what a flag sets reaches the echo and passes the unknown-key check
+        # only through _FLAGS; --frames names inputs and sets no key
+        sub = next(a for a in cli._build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        for command in ("attack", "universal", "transfer"):
+            for action in sub.choices[command]._actions:
+                if action.dest in ("help", "frames"):
+                    continue
+                assert action.dest in cli._FLAGS, (command, action.dest)
+                section, key = cli._FLAGS[action.dest]
+                assert key in cli._SCHEMA[section], (command, action.dest)

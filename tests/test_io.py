@@ -14,6 +14,19 @@ from flowattack.core import FlowField, Perturbation, PerturbMode
 from flowattack.evaluation import masked_aee
 
 
+class TestAtomicWrite:
+    def test_failed_rename_removes_temp_file(self, tmp_path):
+        (tmp_path / "d").mkdir()
+        with pytest.raises(IsADirectoryError):
+            flowio.atomic_write_bytes(tmp_path / "d", b"data")
+        assert [p.name for p in tmp_path.iterdir()] == ["d"]
+
+    def test_failed_write_removes_temp_file(self, tmp_path):
+        with pytest.raises(TypeError):
+            flowio.atomic_write_bytes(tmp_path / "f", "not bytes")
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestFlo:
     def test_single_pixel_layout(self, tmp_path):
         path = tmp_path / "one.flo"
