@@ -631,7 +631,8 @@ def ifgsm_attack(estimator: FlowEstimator, frame1, frame2, eps_inf: float,
 
     Takes `steps` fixed steps of size eps_inf/steps along -sign(grad),
     one perturbation per frame, clipping the frames after every step;
-    |delta| <= eps_inf holds exactly afterwards. The achieved joint L2
+    |delta| <= eps_inf holds afterwards only up to the rounding of
+    clip(i + d) - i. The achieved joint L2
     norm is recorded so runs can be compared against L2-budgeted attacks.
     """
     if steps < 1:

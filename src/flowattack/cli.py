@@ -1,10 +1,12 @@
 """Command-line front end: attack | universal | transfer | viz | checkgrad.
 
 Configuration comes from a flat INI-style file (sections in brackets,
-key = value lines) overridden by command-line flags; unknown keys or
-sections are rejected rather than ignored. Every run writes the resolved
-configuration next to its results. Exit codes: 0 success, 1 usage,
-2 I/O or inputs on mismatched grids, 3 numeric failure.
+key = value lines) overridden by command-line flags. Each run reads the
+sections and keys `_READS` lists for it; any other section or key, from
+the file or from a flag, is a usage error rather than ignored. Every run
+writes the configuration it used, and nothing else, next to its results;
+`viz` and `checkgrad` read no configuration file. Exit codes: 0 success,
+1 usage, 2 I/O or inputs on mismatched grids, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -50,35 +52,37 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-_SCHEMA = {
-    "estimator": {"alpha", "iterations", "levels", "warp", "label"},
-    "attack": {"method", "eps2", "mu", "loss", "target", "target_file", "box",
-               "mode", "steps"},
-    "universal": {"epochs", "batch_size", "steps_per_batch"},
-    "dataset": {"manifest"},
-    "transfer": {"estimators", "perturbations"},
+# What each run reads: section -> keys. `attack` is PCFA and `ifgsm` is
+# `attack` with method = ifgsm. A flag's argparse dest is the key it sets.
+# `transfer` also reads these solver keys from an [estimator.<label>]
+# section for each label it names.
+_SOLVER = {"alpha", "iterations", "levels", "warp"}
+_READS = {
+    "attack": {"estimator": {"label", *_SOLVER},
+               "attack": {"method", "eps2", "mu", "loss", "target",
+                          "target_file", "box", "mode", "steps"},
+               "dataset": {"manifest"}},
+    "ifgsm": {"estimator": {"label", *_SOLVER},
+              "attack": {"method", "eps2", "loss", "target", "target_file",
+                         "steps"},
+              "dataset": {"manifest"}},
+    "universal": {"estimator": {"label", *_SOLVER},
+                  "attack": {"eps2", "mu", "loss", "target", "target_file",
+                             "box", "mode"},
+                  "universal": {"epochs", "batch_size", "steps_per_batch"},
+                  "dataset": {"manifest"}},
+    "transfer": {"transfer": {"estimators", "perturbations"},
+                 "dataset": {"manifest"}},
 }
-# Every key outside [estimator] is also the argparse dest of the flag that
-# overrides it: dest -> (section, key).
-_FLAGS = {key: (section, key) for section, keys in _SCHEMA.items()
-          if section != "estimator" for key in keys}
 
 
 def _load_config(path) -> dict[str, dict[str, str]]:
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
+    # no [DEFAULT] whose keys leak into every section: it is a plain
+    # section, which no run reads
+    parser = configparser.ConfigParser(default_section="")
+    if not parser.read(path):
         raise OSError(f"cannot read config file {path}")
-    config = {}
-    for section in parser.sections():
-        base = section.split(".", 1)[0]
-        if base not in _SCHEMA:
-            raise UsageError(f"unknown config section [{section}]")
-        for key in parser[section]:
-            if key not in _SCHEMA[base]:
-                raise UsageError(f"unknown key '{key}' in section [{section}]")
-        config[section] = dict(parser[section])
-    return config
+    return {section: dict(parser[section]) for section in parser.sections()}
 
 
 def _echo_config(out_dir: Path, resolved: dict[str, dict[str, str]]):
@@ -157,18 +161,21 @@ def _build_attack_config(section: dict[str, str], seed: int) -> PcfaConfig:
         raise UsageError(str(exc)) from None
 
 
-def _resolved_config(config: dict, estimator: FlowEstimator, cfg: PcfaConfig,
-                     **attack_keys: str) -> dict[str, dict[str, str]]:
+def _resolved_config(config: dict, run: str, estimator: FlowEstimator,
+                     cfg: PcfaConfig, **attack_keys: str) -> dict[str, dict[str, str]]:
     """`config` with the values the run actually uses, defaults included,
-    in its [attack] and [estimator] sections."""
+    in its [attack] and [estimator] sections; [attack] keeps the keys `run`
+    reads."""
     resolved = dict(config)
-    resolved["attack"] = {
+    used = {
         **config.get("attack", {}),  # target_file, if given, as given
         "eps2": repr(cfg.epsilon2),
         "mu": "auto" if cfg.mu is None else repr(cfg.mu),
         "loss": cfg.loss.value, "target": cfg.target.kind.value,
         "box": cfg.box.value, "mode": cfg.mode.value, **attack_keys,
     }
+    resolved["attack"] = {key: value for key, value in used.items()
+                          if key in _READS[run]["attack"]}
     resolved["estimator"] = {"label": estimator.label,
                              "alpha": repr(estimator.config.alpha),
                              "iterations": str(estimator.config.iterations),
@@ -177,21 +184,36 @@ def _resolved_config(config: dict, estimator: FlowEstimator, cfg: PcfaConfig,
     return resolved
 
 
-def _merge_cli(config: dict, args):
-    """Flags override the configuration file, key by key; an empty flag
-    value overrides nothing."""
-    for dest, (section, key) in _FLAGS.items():
-        value = getattr(args, dest, None)
-        if value not in (None, ""):
-            config.setdefault(section, {})[key] = \
-                ",".join(value) if isinstance(value, list) else str(value)
-
-
-def _settings(args) -> dict[str, dict[str, str]]:
-    """The configuration file, if any, with the command-line flags merged in."""
+def _settings(args) -> tuple[str, dict[str, dict[str, str]]]:
+    """The run `args` asks for and its settings: the configuration file, if
+    any, with the flags merged in key by key (an empty flag value overrides
+    nothing). A section or key the run does not read is a usage error."""
     config = _load_config(args.config) if args.config else {}
-    _merge_cli(config, args)
-    return config
+    for section, keys in _READS[args.command].items():
+        for key in keys:
+            value = getattr(args, key, None)
+            if value not in (None, ""):
+                config.setdefault(section, {})[key] = \
+                    ",".join(value) if isinstance(value, list) else str(value)
+    run = args.command
+    if run == "attack" and config.get("attack", {}).get("method") == "ifgsm":
+        run = "ifgsm"
+    reads = dict(_READS[run])
+    if run == "transfer":
+        reads.update((f"estimator.{label}", _SOLVER)
+                     for label in _transfer_labels(config))
+    for section, values in config.items():
+        unread = [key for key in values if key not in reads.get(section, ())]
+        if unread or section not in reads:
+            listing = "; ".join(f"[{name}] {', '.join(sorted(keys))}"
+                                for name, keys in sorted(reads.items()))
+            what = f"[{section}] {unread[0]}" if unread else f"section [{section}]"
+            raise UsageError(f"{run} reads no {what}; it reads {listing}")
+    return run, config
+
+
+def _transfer_labels(config: dict) -> list[str]:
+    return _split(config.get("transfer", {}).get("estimators", "hs,hs-pyr"))
 
 
 def _read_manifest(config: dict, what: str) -> DatasetManifest:
@@ -283,7 +305,7 @@ def _attack_one(payload):
 def cmd_attack(args) -> int:
     if args.jobs < 1:
         raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
-    config = _settings(args)
+    run, config = _settings(args)
     estimator = _build_estimator(config.get("estimator", {}))
     atk_section = config.get("attack", {})
     method = atk_section.get("method", "pcfa")
@@ -292,6 +314,9 @@ def cmd_attack(args) -> int:
     cfg = _build_attack_config(atk_section, args.seed)
 
     manifest = config.get("dataset", {}).get("manifest")
+    if args.frames and manifest:
+        raise UsageError("--frames and a dataset manifest both name the "
+                         "inputs; give one of them")
     if args.frames:
         entries = [(*args.frames, None)]
     elif manifest:
@@ -317,23 +342,17 @@ def cmd_attack(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     flowio.atomic_write_bytes(out_dir / "report.jsonl",
                               ("\n".join(lines) + "\n").encode())
-    _echo_config(out_dir, _resolved_config(config, estimator, cfg, method=method,
-                                           steps=str(cfg.steps)))
+    _echo_config(out_dir, _resolved_config(config, run, estimator, cfg,
+                                           method=method, steps=str(cfg.steps)))
     for line in lines:
         print(line)
     return 0
 
 
 def cmd_universal(args) -> int:
-    config = _settings(args)
+    run, config = _settings(args)
     estimator = _build_estimator(config.get("estimator", {}))
-    atk_section = config.get("attack", {})
-    if "steps" in atk_section:
-        raise UsageError("[attack] steps does not apply to universal training; "
-                         "set [universal] steps_per_batch instead")
-    if "method" in atk_section:
-        raise UsageError("[attack] method does not apply to universal training")
-    cfg = _build_attack_config(atk_section, args.seed)
+    cfg = _build_attack_config(config.get("attack", {}), args.seed)
     try:
         ucfg = UniversalTrainConfig(attack=cfg, **{
             k: int(v) for k, v in config.get("universal", {}).items()})
@@ -364,20 +383,20 @@ def cmd_universal(args) -> int:
     }
     line = json.dumps(summary, sort_keys=False, separators=(",", ":"))
     flowio.atomic_write_bytes(out_dir / "summary.json", (line + "\n").encode())
-    resolved = _resolved_config(config, estimator, cfg)
-    resolved["universal"] = {k: str(getattr(ucfg, k)) for k in _SCHEMA["universal"]}
+    resolved = _resolved_config(config, run, estimator, cfg)
+    resolved["universal"] = {k: str(getattr(ucfg, k))
+                             for k in _READS[run]["universal"]}
     _echo_config(out_dir, resolved)
     print(line)
     return 0
 
 
 def cmd_transfer(args) -> int:
-    config = _settings(args)
-    section = config.get("transfer", {})
-    estimators = [_build_estimator({"label": label,
-                                    **config.get(f"estimator.{label}", {})})
-                  for label in _split(section.get("estimators", "hs,hs-pyr"))]
-    pert_paths = _split(section.get("perturbations", ""))
+    _, config = _settings(args)
+    estimators = [_build_estimator({**config.get(f"estimator.{label}", {}),
+                                    "label": label})
+                  for label in _transfer_labels(config)]
+    pert_paths = _split(config.get("transfer", {}).get("perturbations", ""))
     if not (estimators and pert_paths):
         raise UsageError("transfer needs at least one estimator and one "
                          "perturbation file")
@@ -528,6 +547,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.config and args.command not in _READS:
+            raise UsageError(f"{args.command} reads no configuration file")
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -250,9 +250,11 @@ class TestConfigFile:
     @pytest.mark.parametrize("command", ["attack", "universal", "transfer"])
     def test_unknown_estimator_label_rejected(self, tmp_path, tiny_manifest,
                                               capsys, command):
-        # hs_pyr is a typo of hs-pyr and sets no solver key
+        # hs_pyr is a typo of hs-pyr and sets no solver key; transfer reads
+        # no [estimator] section, only one per label it names
         cfg = tmp_path / "run.ini"
-        cfg.write_text("[estimator]\nlabel = hs_pyr\n")
+        cfg.write_text("[estimator.hs_pyr]\n" if command == "transfer"
+                       else "[estimator]\nlabel = hs_pyr\n")
         pert = tmp_path / "zero.npz"
         flowio.write_perturbation(
             pert, Perturbation.zeros(PerturbMode.JOINT, (1, 24, 24)))
@@ -299,6 +301,146 @@ class TestConfigFile:
         echo.read(out / "config_echo.ini")
         assert echo["attack"]["target"] == "custom"
         assert echo["attack"]["target_file"] == str(flo)
+
+
+# Settings each run does not read: (run, config file text, flags, what the
+# error line names). `ifgsm` is `attack --method ifgsm`; the flags --mu,
+# --box and --mode exist for `attack` but an I-FGSM run reads none of them.
+UNREAD = [
+    ("attack", "[universal]\nepochs = 7\n", [], "[universal] epochs"),
+    ("attack", "[transfer]\nestimators = hs\n", [], "[transfer] estimators"),
+    ("attack", "[estimator.fast]\niterations = 3\n", [],
+     "[estimator.fast] iterations"),
+    ("attack", "[universal]\n", [], "section [universal]"),
+    ("attack", "[DEFAULT]\neps2 = 1e-3\n", [], "[DEFAULT] eps2"),
+    ("ifgsm", "[attack]\nmu = 7\n", [], "[attack] mu"),
+    ("ifgsm", "[attack]\nbox = cov\n", [], "[attack] box"),
+    ("ifgsm", "[attack]\nmode = joint\n", [], "[attack] mode"),
+    ("ifgsm", None, ["--mu", "7"], "[attack] mu"),
+    ("ifgsm", None, ["--box", "cov"], "[attack] box"),
+    ("ifgsm", None, ["--mode", "joint"], "[attack] mode"),
+    ("ifgsm", "[universal]\nbatch_size = 2\n", [], "[universal] batch_size"),
+    ("ifgsm", "[estimator.fast]\niterations = 3\n", [],
+     "[estimator.fast] iterations"),
+    ("universal", "[attack]\nsteps = 7\n", [], "[attack] steps"),
+    ("universal", "[attack]\nmethod = pcfa\n", [], "[attack] method"),
+    ("universal", "[transfer]\nperturbations = a.npz\n", [],
+     "[transfer] perturbations"),
+    ("universal", "[estimator.fast]\niterations = 3\n", [],
+     "[estimator.fast] iterations"),
+    ("transfer", "[estimator]\niterations = 7\n", [], "[estimator] iterations"),
+    ("transfer", "[estimator]\nlabel = hs\n", [], "[estimator] label"),
+    ("transfer", "[attack]\nbox = cov\n", [], "[attack] box"),
+    ("transfer", "[attack]\neps2 = 1e-3\n", [], "[attack] eps2"),
+    ("transfer", "[universal]\nepochs = 2\n", [], "[universal] epochs"),
+    # a section for a label the run does not name (it names only hs)
+    ("transfer", "[estimator.fast]\niterations = 3\n", [],
+     "[estimator.fast] iterations"),
+    ("transfer", "[estimator.hs-pyr]\n", [], "section [estimator.hs-pyr]"),
+    # label is not a solver key: it would rename the row
+    ("transfer", "[estimator.hs]\nlabel = hs-pyr\n", [],
+     "[estimator.hs] label"),
+]
+
+
+@pytest.fixture
+def run_argv(tmp_path, tiny_manifest):
+    """The command line after the global options that makes each run
+    succeed on valid inputs."""
+    pert = tmp_path / "zero.npz"
+    flowio.write_perturbation(
+        pert, Perturbation.zeros(PerturbMode.JOINT, (1, 24, 24)))
+    return {"attack": ["attack", "--steps", 1],
+            "ifgsm": ["attack", "--method", "ifgsm", "--steps", 1],
+            "universal": ["universal", "--manifest", tiny_manifest,
+                          "--epochs", 1],
+            "transfer": ["transfer", "--estimators", "hs", "--perturbations",
+                         pert, "--manifest", tiny_manifest]}
+
+
+class TestSettingsTable:
+    @pytest.mark.parametrize("name,text,flags,named", UNREAD, ids=[
+        f"{name}-{'flag' if flags else 'file'}-{named}"
+        for name, _, flags, named in UNREAD])
+    def test_unread_setting_is_usage_error(self, tmp_path, run_argv, capsys,
+                                           name, text, flags, named):
+        cfg = tmp_path / "run.ini"
+        config = []
+        if text is not None:
+            cfg.write_text(text)
+            config = ["--config", cfg]
+        out = tmp_path / "out"
+        assert run([*config, "--out", out, *run_argv[name], *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: {name} reads no {named}; "
+                              "it reads ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name,attack_keys", [
+        ("attack", {"method", "eps2", "mu", "loss", "target", "box", "mode",
+                    "steps"}),
+        ("ifgsm", {"method", "eps2", "loss", "target", "steps"}),
+        ("universal", {"eps2", "mu", "loss", "target", "box", "mode"}),
+    ])
+    def test_echo_holds_only_what_the_run_reads(self, tmp_path, run_argv,
+                                                name, attack_keys):
+        out = tmp_path / "out"
+        assert run(["--out", out, *run_argv[name]]) == 0
+        echo = configparser.ConfigParser()
+        echo.read(out / "config_echo.ini")
+        assert set(echo["attack"]) == attack_keys
+        for section in echo.sections():
+            assert set(echo[section]) <= cli._READS[name][section]
+
+    def test_transfer_estimator_section_sets_solver_keys(self, tmp_path,
+                                                         run_argv):
+        cfg = tmp_path / "tr.ini"
+        cfg.write_text("[estimator.fast]\niterations = 3\n")
+        argv = run_argv["transfer"]
+        argv[argv.index("hs")] = "fast"
+        out = tmp_path / "tr"
+        assert run(["--config", cfg, "--out", out, *argv]) == 0
+        assert (out / "transfer.txt").read_text().splitlines()[1] \
+            .startswith("fast ")
+        row = json.loads((out / "transfer.jsonl").read_text())
+        assert row["estimator"] == "fast"
+        echo = configparser.ConfigParser()
+        echo.read(out / "config_echo.ini")
+        assert dict(echo["estimator.fast"]) == {"iterations": "3"}
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_frames_with_manifest_is_usage_error(self, tmp_path, tiny_manifest,
+                                                 capsys, source):
+        frames = [tiny_manifest.parent / "p0_1.png",
+                  tiny_manifest.parent / "p0_2.png"]
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[dataset]\nmanifest = {tiny_manifest}\n")
+        given = ["--manifest", tiny_manifest] if source == "flag" else []
+        config = ["--config", cfg] if source == "file" else []
+        out = tmp_path / "out"
+        assert run([*config, "--out", out, "attack", "--frames", *frames,
+                    *given, "--steps", 1]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: --frames and a dataset manifest")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("exists", [True, False])
+    @pytest.mark.parametrize("command", ["viz", "checkgrad"])
+    def test_viz_and_checkgrad_reject_config(self, tmp_path, capsys, command,
+                                             exists):
+        flo = tmp_path / "f.flo"
+        flowio.write_flo(flo, FlowField(np.zeros((2, 6, 6))))
+        argv = {"viz": ["--flow", flo], "checkgrad": ["--pairs", 1]}[command]
+        cfg = tmp_path / "run.ini"
+        if exists:
+            cfg.write_text("[attack]\neps2 = 1e-3\n")
+        out = tmp_path / "out"
+        assert run(["--config", cfg, "--out", out, command, *argv]) == 1
+        assert capsys.readouterr().err == \
+            f"usage error: {command} reads no configuration file\n"
+        assert not out.exists()
 
 
 class TestUniversalAndTransfer:
@@ -448,14 +590,15 @@ class TestUsage:
         assert run(["attack", "--box", "quantum"]) == 1
 
     def test_every_configuration_flag_has_a_schema_key(self):
-        # what a flag sets reaches the echo and passes the unknown-key check
-        # only through _FLAGS; --frames names inputs and sets no key
+        # a flag's value is merged only as the one key of its command's
+        # _READS entry that equals its dest; --frames names inputs and sets
+        # no key
         sub = next(a for a in cli._build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction))
         for command in ("attack", "universal", "transfer"):
             for action in sub.choices[command]._actions:
                 if action.dest in ("help", "frames"):
                     continue
-                assert action.dest in cli._FLAGS, (command, action.dest)
-                section, key = cli._FLAGS[action.dest]
-                assert key in cli._SCHEMA[section], (command, action.dest)
+                sections = [section for section, keys in
+                            cli._READS[command].items() if action.dest in keys]
+                assert len(sections) == 1, (command, action.dest)
