@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .core import (FlowField, Image, Perturbation, PerturbMode, ShapeError,
-                   joint_l2_norm, scale_bound)
+                   joint_l2_norm, joint_linf_norm, scale_bound)
 from .diffflow import FlowEstimator
 from .optim import LbfgsParams, OptimTrace, lbfgs_minimize
 
@@ -349,12 +349,19 @@ class Parametrization:
     the distortion p - i that survives the box, so the penalty gradient
     is pulled back through the box with the loss gradient. A joint or
     universal field is penalized raw: one penalty on x itself, added
-    after the loss gradient has been pulled back.
+    after the loss gradient has been pulled back. The change of variables
+    is always realized: a raw penalty there would measure the tanh
+    auxiliaries, so asking for one is a ValueError.
     """
 
     box: BoxConstraint
     mode: PerturbMode
     realized: bool
+
+    def __post_init__(self):
+        if self.box == BoxConstraint.COV and not self.realized:
+            raise ValueError("the change of variables penalizes the realized "
+                             "distortion, not its auxiliaries")
 
     def start(self, i1, i2) -> np.ndarray:
         """Zero distortion: the tanh auxiliaries of the frames under the
@@ -431,20 +438,28 @@ class PenalizedObjective:
     (frame1, frame2, target) arrays plus the exact penalty on the
     perturbation.
 
-    A frame-specific attack is the one-pair case. The pairs run through
-    the estimator in `_pair_groups`, one batched call and one tape per
-    group, and the per-pair terms add up in pair order, so every value
-    and gradient is bitwise the one of a call per pair. box_min/box_max
-    record the extreme perturbed pixel values seen across every
-    evaluation, so box exactness is checkable per iterate. With
-    grad=False the adjoint sweep and the pull-back are skipped and the
-    gradient is None; the value is bitwise the one a gradient call
-    returns, because both add the same terms in the same order.
+    The penalty is one term, added once after the pair mean: on the
+    distortion that survives the box when the parametrization is realized
+    (a frame-specific attack, the one-pair case), else on x's raw fields,
+    which every pair shares. A realized penalty over more than one pair
+    is a ValueError; over its one pair, adding it after the mean is
+    bitwise adding it to the pair's loss, since (l + p) / 1 == l / 1 + p.
+
+    Each call makes two passes. The first runs no estimator: it applies x
+    to every pair, records the extreme perturbed pixel values in
+    box_min/box_max (so box exactness is checkable per iterate) and
+    computes the penalty. The second runs the pairs through the
+    estimator in `_pair_groups`, one batched call and one tape per group,
+    and the per-pair terms add up in pair order, so every value and
+    gradient is bitwise the one of a call per pair. With grad=False the
+    adjoint sweep and the pull-back are skipped and the gradient is None;
+    the value is bitwise the one a gradient call returns, because both
+    add the same terms in the same order.
 
     A value call given a finite `ceiling` (the optimizer's Armijo bar)
-    first computes `floor(x)`, which runs no estimator; when the floor
-    already exceeds the ceiling, or is not finite, it returns the floor
-    and skips the estimator.
+    compares `floor(x)`, the first pass's result, against it; when the
+    floor already exceeds the ceiling, or is not finite, it returns the
+    floor and skips the estimator.
     """
 
     estimator: FlowEstimator
@@ -456,6 +471,11 @@ class PenalizedObjective:
     box_min: float = math.inf
     box_max: float = -math.inf
 
+    def __post_init__(self):
+        if self.param.realized and len(self.pairs) > 1:
+            raise ValueError("a realized penalty measures one pair's "
+                             f"distortion, got {len(self.pairs)} pairs")
+
     def _penalty(self, d1, d2, grad=True):
         pval, gpen = penalty_value_grad(
             np.concatenate([d1.ravel(), d2.ravel()]), self.eps_hat, self.mu, grad)
@@ -464,80 +484,66 @@ class PenalizedObjective:
         g = gpen.reshape((2,) + d1.shape)
         return pval, g[0], g[1]
 
-    def _record_box(self, p1, p2):
-        self.box_min = min(self.box_min, float(p1.min()), float(p2.min()))
-        self.box_max = max(self.box_max, float(p1.max()), float(p2.max()))
+    def _first_pass(self, x, grad=False):
+        """The pass that runs no estimator: (mean of the pairs' loss
+        floors, penalty, penalty gradient on the two penalized fields, or
+        None twice without grad). Records the box extremes; one pair's
+        fields are held at a time."""
+        total = 0.0
+        for i1, i2, target in self.pairs:
+            d1, d2, p1, p2 = self.param.apply(x, i1, i2)
+            self.box_min = min(self.box_min, float(p1.min()), float(p2.min()))
+            self.box_max = max(self.box_max, float(p1.max()), float(p2.max()))
+            total += _loss_floor(self.loss, target.shape[-2] * target.shape[-1])
+        # the one pair's realized distortion, or x's raw fields
+        return (total / len(self.pairs),) + self._penalty(d1, d2, grad)
 
     def floor(self, x) -> float:
-        """A lower bound on the value at x that runs no estimator.
+        """A lower bound on the value at x that runs no estimator: the
+        first pass, with every pair's loss replaced by `_loss_floor`.
 
-        Every pair's loss is replaced by `_loss_floor`, and the penalty
-        terms are computed, and all terms added and divided, exactly as
-        `__call__` does it. Rounding to nearest is monotone, so each
-        rounded `+` and the division by the (positive) pair count map
+        The loss terms are added and divided, and the penalty added,
+        exactly as `__call__` does it. Rounding to nearest is monotone, so
+        each rounded `+` and the division by the (positive) pair count map
         smaller operands to a result no larger: as every loss floor is at
         most the loss `__call__` computes, every partial sum here is at
         most its counterpart there, and floor(x) <= value(x) holds in
-        floating point whenever the value is finite. The box extremes are
-        recorded as an evaluation records them; one pair's fields are
-        held at a time.
+        floating point whenever the value is finite.
         """
-        param = self.param
-        total = 0.0
-        for i1, i2, target in self.pairs:
-            d1, d2, p1, p2 = param.apply(x, i1, i2)
-            self._record_box(p1, p2)
-            lval = _loss_floor(self.loss, target.shape[-2] * target.shape[-1])
-            if param.realized:
-                lval += self._penalty(d1, d2, grad=False)[0]
-            total += lval
-        total /= len(self.pairs)
-        if not param.realized:
-            total += self._penalty(*param.fields(x, self.pairs[0][0].shape),
-                                   grad=False)[0]
-        return total
+        low, pval, _, _ = self._first_pass(x)
+        return low + pval
 
     def __call__(self, x, grad=True, ceiling=math.inf):
-        if ceiling < math.inf:
-            low = self.floor(x)
-            if not low <= ceiling:  # rejected, or non-finite for the caller
-                return low, None
         param = self.param
+        # a raw penalty's gradient is taken after the last tape is dropped
+        low, pval, g1, g2 = self._first_pass(x, grad and param.realized)
+        if ceiling < math.inf and not low + pval <= ceiling:
+            return low + pval, None  # rejected, or non-finite for the caller
         grad_fn = _LOSS_GRADS[self.loss]
         total = 0.0
         gx = np.zeros_like(x)
         for group in _pair_groups(self.pairs):
-            fields = [param.apply(x, i1, i2) for i1, i2, _ in group]
-            for _, _, p1, p2 in fields:
-                self._record_box(p1, p2)
+            frames = [param.apply(x, i1, i2)[2:] for i1, i2, _ in group]
             flows, vjp = self.estimator.value_and_vjp(
-                np.stack([f[2] for f in fields]), np.stack([f[3] for f in fields]))
+                np.stack([f[0] for f in frames]), np.stack([f[1] for f in frames]))
             gflows = np.empty_like(flows)
-            gpens = []
-            for k, ((_, _, target), (d1, d2, _, _)) in enumerate(zip(group, fields)):
+            for k, (_, _, target) in enumerate(group):
                 lval, gflows[k] = grad_fn(flows[k], target)
-                if param.realized:
-                    pval, g1, g2 = self._penalty(d1, d2, grad)
-                    lval += pval
-                    gpens.append((g1, g2))
                 total += lval
             if grad:
                 gp1s, gp2s = vjp(gflows)
                 for k, (i1, i2, _) in enumerate(group):
                     gp1, gp2 = gp1s[k], gp2s[k]
                     if param.realized:
-                        gp1, gp2 = gp1 + gpens[k][0], gp2 + gpens[k][1]
+                        gp1, gp2 = gp1 + g1, gp2 + g2
                     gx += param.pullback(x, i1, i2, gp1, gp2)
             del vjp  # its tape, before the next group's forward builds one
-        total /= len(self.pairs)
-        if not param.realized:
-            pval, g1, g2 = self._penalty(*param.fields(x, self.pairs[0][0].shape),
-                                         grad)
-            total += pval
+        total = total / len(self.pairs) + pval
         if not grad:
             return total, None
         gx /= len(self.pairs)
         if not param.realized:
+            _, g1, g2 = self._penalty(*param.fields(x, self.pairs[0][0].shape))
             gx += param.gather(g1, g2)
         return total, gx
 
@@ -596,8 +602,7 @@ def _attack_result(estimator, mode: PerturbMode, d1, d2, p1, p2,
         target=FlowField(target),
         trace=trace,
         l2_norm=joint_l2_norm(pert),
-        linf_norm=float(max(np.abs(pert.first).max(),
-                            np.abs(pert.second).max() if pert.second is not None else 0.0)),
+        linf_norm=joint_linf_norm(pert),
         eps_hat=eps_hat,
         mu=mu,
         box_min_seen=box_seen[0],

@@ -23,7 +23,7 @@ import numpy as np
 from . import io as flowio
 from .attack import (AttackResult, BoxConstraint, LossKind, PcfaConfig, Target,
                      TargetKind, ifgsm_attack, loss_with_grad, pcfa_attack)
-from .core import PerturbMode, ShapeError, joint_l2_norm
+from .core import PerturbMode, ShapeError, joint_l2_norm, joint_linf_norm
 from .diffflow import EstimatorConfig, FlowEstimator, builtin_estimators, \
     finite_diff_check
 from .evaluation import AttackReport, TraceSummary, attack_strength, \
@@ -80,9 +80,13 @@ def _load_config(path) -> dict[str, dict[str, str]]:
     # no [DEFAULT] whose keys leak into every section: it is a plain
     # section, which no run reads
     parser = configparser.ConfigParser(default_section="")
-    if not parser.read(path):
-        raise OSError(f"cannot read config file {path}")
-    return {section: dict(parser[section]) for section in parser.sections()}
+    try:
+        if not parser.read(path):
+            raise OSError(f"cannot read config file {path}")
+        return {section: dict(parser[section]) for section in parser.sections()}
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        message = " ".join(str(exc).split())  # some span several lines
+        raise UsageError(f"config file {path}: {message}") from None
 
 
 def _echo_config(out_dir: Path, resolved: dict[str, dict[str, str]]):
@@ -303,8 +307,6 @@ def _attack_one(payload):
 
 
 def cmd_attack(args) -> int:
-    if args.jobs < 1:
-        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
     run, config = _settings(args)
     estimator = _build_estimator(config.get("estimator", {}))
     atk_section = config.get("attack", {})
@@ -378,7 +380,7 @@ def cmd_universal(args) -> int:
         "steps_per_batch": ucfg.steps_per_batch,
         "seed": cfg.seed,
         "l2": joint_l2_norm(pert),
-        "linf": float(np.abs(pert.first).max()),
+        "linf": joint_linf_norm(pert),
         "runtime_ms": 0.0 if args.deterministic else runtime_ms,
     }
     line = json.dumps(summary, sort_keys=False, separators=(",", ":"))
@@ -547,6 +549,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.jobs < 1:
+            raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
         if args.config and args.command not in _READS:
             raise UsageError(f"{args.command} reads no configuration file")
         return args.func(args)

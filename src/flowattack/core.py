@@ -22,6 +22,7 @@ __all__ = [
     "PerturbMode",
     "ShapeError",
     "joint_l2_norm",
+    "joint_linf_norm",
     "scale_bound",
     "clip01",
 ]
@@ -171,6 +172,12 @@ def joint_l2_norm(p: Perturbation) -> float:
     """
     d1, d2 = p.fields()
     return math.sqrt(float(np.sum(d1 * d1) + np.sum(d2 * d2)))
+
+
+def joint_linf_norm(p: Perturbation) -> float:
+    """Largest absolute distortion over both frames' fields."""
+    d1, d2 = p.fields()
+    return float(max(np.abs(d1).max(), np.abs(d2).max()))
 
 
 def scale_bound(eps2: float, pixels: int, channels: int) -> float:

@@ -167,11 +167,11 @@ def transfer_matrix(estimators: list[FlowEstimator],
     matrix = np.full((len(estimators), len(perturbations)), np.nan)
     valid = np.zeros(matrix.shape, dtype=bool)
     for i, est in enumerate(estimators):
-        flows = [est.estimate_flow(f1, f2) for f1, f2, _ in pairs]
+        flows = [est.estimate_flow(f1, f2) for f1, f2 in pairs]
         for j, pert in enumerate(perturbations):
             try:
                 vals = []
-                for (f1, f2, _), flow0 in zip(pairs, flows):
+                for (f1, f2), flow0 in zip(pairs, flows):
                     a1, a2 = apply_universal(pert, f1, f2)
                     vals.append(adversarial_robustness(est.estimate_flow(a1, a2),
                                                        flow0))

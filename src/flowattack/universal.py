@@ -19,8 +19,7 @@ from .attack import BoxConstraint, Parametrization, PcfaConfig, \
     PenalizedObjective, TargetKind
 # unused here; bench/spans.py patches this name and fails without it
 from .attack import penalty_value_grad  # noqa: F401
-from .core import FlowField, Image, Perturbation, PerturbMode, ShapeError, \
-    clip01
+from .core import Image, Perturbation, PerturbMode, ShapeError, clip01
 from .diffflow import FlowEstimator
 from .optim import LbfgsParams, lbfgs_minimize
 
@@ -69,7 +68,9 @@ class DatasetManifest:
         entries = [(p[0], p[1], p[2] if len(p) > 2 else None) for p in pairs]
         return DatasetManifest(entries)
 
-    def load_pairs(self) -> list[tuple[Image, Image, FlowField | None]]:
+    def load_pairs(self) -> list[tuple[Image, Image]]:
+        """The frame pairs, read in order. Ground truth is never read, so
+        an unreadable flow file costs its pair nothing."""
         loaded = []
         skipped = 0
         grid = None
@@ -77,9 +78,6 @@ class DatasetManifest:
             try:
                 f1 = entry[0] if isinstance(entry[0], Image) else flowio.read_image(entry[0])
                 f2 = entry[1] if isinstance(entry[1], Image) else flowio.read_image(entry[1])
-                gt = entry[2]
-                if gt is not None and not isinstance(gt, FlowField):
-                    gt = flowio.read_flow_any(gt)
             except (OSError, ValueError) as exc:
                 skipped += 1
                 warnings.warn(f"skipping unreadable pair {entry[:2]}: {exc}")
@@ -92,7 +90,7 @@ class DatasetManifest:
                         f"{grid[0]}x{grid[1]}")
             if f1.data.shape != f2.data.shape:
                 raise ShapeError("frames of a pair differ in shape")
-            loaded.append((f1, f2, gt))
+            loaded.append((f1, f2))
         if not loaded:
             raise flowio.FormatError(f"no readable pairs ({skipped} skipped)")
         return loaded
@@ -151,7 +149,7 @@ def train_universal(estimator: FlowEstimator, data: DatasetManifest,
     # a zero target needs no forward pass
     targets = [np.zeros((2,) + shape[1:]) if atk.target.kind == TargetKind.ZERO
                else atk.target.resolve(estimator.estimate_flow(f1, f2).data)
-               for f1, f2, _ in pairs]
+               for f1, f2 in pairs]
 
     x = param.start(pairs[0][0].data, pairs[0][1].data)
     rng = np.random.default_rng(atk.seed)

@@ -368,13 +368,14 @@ FLOOR_GRID = 64
 
 @st.composite
 def floor_cases(draw):
-    """An objective over 1 or 5 pairs whose predicted flow is `scale` times
-    a random field and whose targets are that field scaled by +-[0.5, 2]
-    (aligned or anti-aligned), a point x, and a ceiling placed below, at
-    or between the floor and the exact value, or above both."""
+    """An objective over 1 or 5 pairs (one when the penalty is realized)
+    whose predicted flow is `scale` times a random field and whose targets
+    are that field scaled by +-[0.5, 2] (aligned or anti-aligned), a point
+    x, and a ceiling placed below, at or between the floor and the exact
+    value, or above both."""
     loss = draw(st.sampled_from(list(LossKind)))
     realized = draw(st.booleans())
-    count = draw(st.sampled_from([1, 5]))
+    count = 1 if realized else draw(st.sampled_from([1, 5]))
     scale = 10.0 ** draw(st.integers(-3, 60))
     sign = draw(st.sampled_from([-1.0, 1.0]))
     eps_hat = draw(st.sampled_from([1e-3, 1.0, 1e3]))
@@ -467,6 +468,49 @@ class TestPenaltyFloor:
         assert (excinfo.value.trace.value_evals,
                 excinfo.value.trace.grad_evals) == (1, 1)
         assert estimator.forward_calls == 1  # the start only
+
+
+class TestPenaltyTerm:
+    """The penalty is one term per call, computed once."""
+
+    def test_realized_penalty_over_several_pairs_rejected(self):
+        f1, f2, _ = make_pair(31, 16, 16)
+        pair = (f1.data, f2.data, np.zeros((2, 16, 16)))
+        param = Parametrization(BoxConstraint.CLIPPING, PerturbMode.DISJOINT,
+                                realized=True)
+        with pytest.raises(ValueError, match="realized penalty"):
+            PenalizedObjective(FixedFlowEstimator(pair[2]), param,
+                               [pair, pair], LossKind.AEE, eps_hat=1.0, mu=1.0)
+
+    def test_raw_change_of_variables_rejected(self):
+        with pytest.raises(ValueError, match="change of variables"):
+            Parametrization(BoxConstraint.COV, PerturbMode.DISJOINT,
+                            realized=False)
+
+    @pytest.mark.parametrize("eps_hat", [1e-3, 1e3])
+    def test_penalty_computed_once(self, fast_estimator, monkeypatch, eps_hat):
+        import flowattack.attack as attack
+        calls = []
+
+        def spy(delta_hat, eps_hat, mu, grad=True):
+            calls.append(grad)
+            return penalty_value_grad(delta_hat, eps_hat, mu, grad)
+        monkeypatch.setattr(attack, "penalty_value_grad", spy)
+        rng = np.random.default_rng(5)
+        for name, make, x0 in value_only_cases(fast_estimator):
+            x = x0 + rng.normal(0, 1e-2, x0.shape)
+            fun = make(eps_hat)
+            value, _ = fun(x)
+            floor = fun.floor(x)
+            for ceiling in (value, floor - 1.0):  # solved, and floor-rejected
+                calls.clear()
+                assert fun(x, grad=False, ceiling=ceiling)[0] == \
+                    (value if ceiling == value else floor), name
+                assert calls == [False], name
+            if fun.param.realized:  # a frame-specific gradient call
+                calls.clear()
+                assert fun(x)[0] == value
+                assert calls == [True], name
 
 
 def reference_objective(fun, x, grad=True):

@@ -247,6 +247,24 @@ class TestConfigFile:
         cfg.write_text("[attacker]\neps2 = 1e-3\n")
         assert run(["--config", cfg, "attack"]) == 1
 
+    @pytest.mark.parametrize("text", [
+        b"eps2 = 1e-3\n",
+        b"[attack]\neps2 = 1e-3\neps2 = 2e-3\n",
+        b"[attack]\neps2 = 1e-3\n[attack]\nsteps = 2\n",
+        b"[dataset]\nmanifest = a%b\n",
+        b"[attack]\neps2 = \xff\n",
+    ], ids=["no-section-header", "duplicate-option", "duplicate-section",
+            "bad-interpolation", "not-utf8"])
+    def test_unparsable_config_is_usage_error(self, tmp_path, capsys, text):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_bytes(text)
+        out = tmp_path / "out"
+        assert run(["--config", cfg, "--out", out, "attack"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: config file {cfg}: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["attack", "universal", "transfer"])
     def test_unknown_estimator_label_rejected(self, tmp_path, tiny_manifest,
                                               capsys, command):
@@ -472,6 +490,17 @@ class TestUniversalAndTransfer:
             "perturbations": str(out / "universal_delta.npz")}
         assert echo["dataset"]["manifest"] == str(tiny_manifest)
 
+    def test_disjoint_summary_linf_covers_both_fields(self, tmp_path,
+                                                      tiny_manifest):
+        out = tmp_path / "uni"
+        assert run(["--out", out, "--deterministic", "universal",
+                    "--manifest", tiny_manifest, "--eps2", "5e-2",
+                    "--mode", "disjoint", "--epochs", 2]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        pert = flowio.read_perturbation(out / "universal_delta.npz")
+        assert summary["linf"] == max(float(np.abs(pert.first).max()),
+                                      float(np.abs(pert.second).max()))
+
     def test_universal_steps_are_per_batch(self, tmp_path, tiny_manifest):
         deltas = {}
         for steps in (1, 3):
@@ -585,6 +614,24 @@ class TestVizAndCheckgrad:
 class TestUsage:
     def test_no_subcommand_is_usage_error(self):
         assert run([]) == 1
+
+    @pytest.mark.parametrize("command",
+                             ["universal", "transfer", "viz", "checkgrad"])
+    def test_jobs_below_one_is_usage_error_for_every_command(
+            self, tmp_path, capsys, tiny_manifest, command):
+        pert = tmp_path / "zero.npz"
+        flowio.write_perturbation(
+            pert, Perturbation.zeros(PerturbMode.JOINT, (1, 24, 24)))
+        argv = {"universal": ["--manifest", tiny_manifest, "--epochs", 1],
+                "transfer": ["--estimators", "hs", "--perturbations", pert,
+                             "--manifest", tiny_manifest],
+                "viz": ["--pert", pert],
+                "checkgrad": ["--pairs", 1]}[command]
+        out = tmp_path / "out"
+        assert run(["--out", out, "--jobs", 0, command, *argv]) == 1
+        assert capsys.readouterr().err == \
+            "usage error: --jobs must be >= 1, got 0\n"
+        assert not out.exists()
 
     def test_bad_flag_value(self):
         assert run(["attack", "--box", "quantum"]) == 1

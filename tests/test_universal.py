@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -83,10 +85,22 @@ class TestManifest:
                             "a1.png a2.png\n"
                             "b1.png b2.png gt.flo\n")
         data = DatasetManifest.from_file(manifest)
-        pairs = data.load_pairs()
+        assert data.entries[0][2] is None
+        assert data.entries[1][2] == str(tmp_path / "gt.flo")
+        pairs = data.load_pairs()  # frames only: ground truth is not read
+        assert [len(pair) for pair in pairs] == [2, 2]
+
+    def test_unread_corrupt_ground_truth_keeps_its_pair(self, tmp_path):
+        img = np.full((1, 4, 4), 0.5)
+        for name in ("a1.png", "a2.png", "b1.png", "b2.png"):
+            flowio.write_image_png(tmp_path / name, img)
+        (tmp_path / "bad.flo").write_bytes(b"PIEH\x01\x00\x00")
+        manifest = tmp_path / "pairs.txt"
+        manifest.write_text("a1.png a2.png bad.flo\nb1.png b2.png\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pairs = DatasetManifest.from_file(manifest).load_pairs()
         assert len(pairs) == 2
-        assert pairs[0][2] is None
-        assert pairs[1][2] is not None
 
     def test_unreadable_pair_skipped_with_warning(self, tmp_path):
         img = np.full((1, 4, 4), 0.5)
