@@ -105,10 +105,11 @@ class PcfaConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epsilon2 < 0:
-            raise ValueError("epsilon2 must be non-negative")
-        if self.mu is not None and not (self.mu > 0):
-            raise ValueError("mu must be positive")
+        if not (0 <= self.epsilon2 < math.inf):  # NaN included
+            raise ValueError(f"epsilon2 must be finite and non-negative, "
+                             f"got {self.epsilon2}")
+        if self.mu is not None and not (0 < self.mu < math.inf):
+            raise ValueError(f"mu must be finite and positive, got {self.mu}")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
         if self.box == BoxConstraint.COV and self.mode == PerturbMode.JOINT:
@@ -308,7 +309,7 @@ def default_mu(loss: LossKind, target_kind: TargetKind, eps2: float) -> float:
     the table interpolate log-linearly; a zero budget pins the
     perturbation with a fixed very large weight.
     """
-    if eps2 < 0:
+    if not (eps2 >= 0):  # NaN included
         raise ValueError("eps2 must be non-negative")
     if eps2 == 0.0:
         return _MU_PIN_ZERO_BUDGET
@@ -642,7 +643,7 @@ def ifgsm_attack(estimator: FlowEstimator, frame1, frame2, eps_inf: float,
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    if eps_inf < 0:
+    if not (eps_inf >= 0):  # NaN included
         raise ValueError("eps_inf must be non-negative")
     i1, i2, flow_init, tgt = _setup_pair(estimator, frame1, frame2, target)
     grad_fn = _LOSS_GRADS[LossKind(loss)]

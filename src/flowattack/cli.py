@@ -101,16 +101,15 @@ def _echo_config(out_dir: Path, resolved: dict[str, dict[str, str]]):
 
 
 def _build_estimator(section: dict[str, str]) -> FlowEstimator:
-    """The built-in estimator `label` names, or a solver that starts from
-    its configuration (from `hs` for a new label) and applies the section's
-    solver keys; a label that is neither is a usage error."""
+    """A solver labelled `label` that starts from the configuration of the
+    built-in estimator of that label (of `hs` for a new label) and applies
+    the section's solver keys; with no solver key it equals the built-in
+    one. A new label that sets no solver key is a usage error."""
     label = section.get("label", "hs")
     builtin = builtin_estimators()
-    if set(section) <= {"label"}:
-        if label not in builtin:
-            raise UsageError(f"unknown estimator {label!r}: not built in "
-                             f"({', '.join(builtin)}) and sets no solver key")
-        return builtin[label]
+    if label not in builtin and set(section) <= {"label"}:
+        raise UsageError(f"unknown estimator {label!r}: not built in "
+                         f"({', '.join(builtin)}) and sets no solver key")
     base = builtin.get(label, builtin["hs"]).config
     try:
         cfg = EstimatorConfig(
@@ -135,6 +134,8 @@ def _parse_bool(text: str) -> bool:
 
 def _build_target(section: dict[str, str]) -> Target:
     kind = section.get("target", "zero")
+    if kind != "custom" and "target_file" in section:
+        raise UsageError("target_file is read only with target = custom")
     if kind == "custom":
         path = section.get("target_file")
         if not path:
@@ -232,7 +233,7 @@ def _split(text: str) -> list[str]:
 
 
 def _report_from_result(result: AttackResult, estimator_label: str,
-                        cfg: PcfaConfig, method: str, runtime_ms: float,
+                        cfg: PcfaConfig, runtime_ms: float,
                         deterministic: bool, initial_quality=None) -> AttackReport:
     return AttackReport(
         estimator=estimator_label,
@@ -240,8 +241,8 @@ def _report_from_result(result: AttackResult, estimator_label: str,
         mu=result.mu,
         loss=cfg.loss.value,
         target=cfg.target.kind.value,
-        box=cfg.box.value if method == "pcfa" else "clipping",
-        mode=cfg.mode.value if method == "pcfa" else "disjoint",
+        box=cfg.box.value,
+        mode=cfg.mode.value,
         strength=attack_strength(result.flow_adv, result.target),
         robustness=adversarial_robustness(result.flow_adv, result.flow_init),
         l2=result.l2_norm,
@@ -264,8 +265,6 @@ def _write_delta_images(out_dir: Path, stem: str, pert) -> list[Path]:
 
 
 def _write_pair_artifacts(out_dir: Path, stem: str, result: AttackResult):
-    # only now: a pair that fails on its inputs leaves no output directory
-    out_dir.mkdir(parents=True, exist_ok=True)
     flows = {"init": result.flow_init, "adv": result.flow_adv,
              "target": result.target}
     both = np.concatenate([flow.data for flow in flows.values()])
@@ -300,8 +299,8 @@ def _attack_one(payload):
             initial_quality = masked_aee(result.flow_init, gt_flow, gt_mask)
         else:
             initial_quality = attack_strength(result.flow_init, gt_flow)
-    report = _report_from_result(result, estimator.label, cfg, method,
-                                 runtime_ms, deterministic, initial_quality)
+    report = _report_from_result(result, estimator.label, cfg, runtime_ms,
+                                 deterministic, initial_quality)
     _write_pair_artifacts(Path(out_dir), stem, result)
     return report.to_json_line()
 
@@ -341,7 +340,6 @@ def cmd_attack(args) -> int:
             lines = list(pool.map(_attack_one, payloads))
     else:
         lines = [_attack_one(p) for p in payloads]
-    out_dir.mkdir(parents=True, exist_ok=True)
     flowio.atomic_write_bytes(out_dir / "report.jsonl",
                               ("\n".join(lines) + "\n").encode())
     _echo_config(out_dir, _resolved_config(config, run, estimator, cfg,
@@ -365,10 +363,8 @@ def cmd_universal(args) -> int:
     start = time.perf_counter()
     pert = train_universal(estimator, manifest, ucfg)
     runtime_ms = 1000.0 * (time.perf_counter() - start)
-    # only now: training fails on its inputs before it writes anything
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
+    out_dir = Path(args.out)
     flowio.write_perturbation(out_dir / "universal_delta.npz", pert)
     _write_delta_images(out_dir, "universal", pert)
     summary = {
@@ -407,7 +403,6 @@ def cmd_transfer(args) -> int:
 
     matrix, valid = transfer_matrix(estimators, perturbations, manifest)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     col_names = [Path(p).stem for p in pert_paths]
     widths = [max(len(c), 10) for c in col_names]
@@ -439,16 +434,15 @@ def cmd_transfer(args) -> int:
 def cmd_viz(args) -> int:
     if not (args.flow or args.pert):
         raise UsageError("viz needs --flow and/or --pert")
+    # both inputs are read before anything is written
+    flow = flowio.read_flow_any(args.flow)[0] if args.flow else None
+    pert = flowio.read_perturbation(args.pert) if args.pert else None
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     wrote = []
-    if args.flow:
-        flow, _ = flowio.read_flow_any(args.flow)
-        img = flowio.flow_to_color(flow, args.max_mag)
+    if flow is not None:
         wrote.append(out_dir / (Path(args.flow).stem + "_flow.png"))
-        flowio.write_image_png(wrote[-1], img)
-    if args.pert:
-        pert = flowio.read_perturbation(args.pert)
+        flowio.write_image_png(wrote[-1], flowio.flow_to_color(flow, args.max_mag))
+    if pert is not None:
         wrote += _write_delta_images(out_dir, Path(args.pert).stem, pert)
     for dest in wrote:
         print(dest)

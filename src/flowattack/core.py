@@ -122,8 +122,8 @@ class Perturbation:
     """Additive input distortion for a frame pair.
 
     Disjoint mode carries one field per frame; joint mode carries a single
-    field that is added to both frames. Values are unbounded reals; range
-    handling belongs to the attack's box constraint.
+    field that is added to both frames. Values are finite but otherwise
+    unbounded reals; range handling belongs to the attack's box constraint.
     """
 
     mode: PerturbMode
@@ -132,7 +132,7 @@ class Perturbation:
 
     def __post_init__(self):
         a = np.asarray(self.first, dtype=np.float64)
-        if a.ndim != 3:
+        if a.ndim != 3 or min(a.shape) < 1:
             raise ShapeError(f"perturbation field must be (C, M, N), got {a.shape}")
         object.__setattr__(self, "first", _freeze(a))
         if self.mode == PerturbMode.JOINT:
@@ -145,6 +145,8 @@ class Perturbation:
             if b.shape != a.shape:
                 raise ShapeError(f"field shapes differ: {a.shape} vs {b.shape}")
             object.__setattr__(self, "second", _freeze(b))
+        if not all(np.all(np.isfinite(d)) for d in self.fields()):
+            raise ValueError("perturbation contains non-finite values")
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -186,7 +188,7 @@ def scale_bound(eps2: float, pixels: int, channels: int) -> float:
     eps2 then reads as the average distortion per pixel as a fraction of
     the color range; eps2 = 0.01 means 1% on average.
     """
-    if eps2 < 0:
+    if not (eps2 >= 0):  # NaN included
         raise ValueError("eps2 must be non-negative")
     if pixels < 1 or channels < 1:
         raise ValueError("pixels and channels must be positive")

@@ -407,8 +407,8 @@ class EstimatorConfig:
     warp: bool = False
 
     def __post_init__(self):
-        if not (self.alpha > 0):
-            raise ValueError("alpha must be positive")
+        if not (0 < self.alpha < math.inf):  # NaN included
+            raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if self.pyramid_levels < 1:

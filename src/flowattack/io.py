@@ -12,7 +12,8 @@ CRC, rejects an IHDR that is not 13 bytes or declares a zero dimension,
 and inflates at most the size IHDR implies, so a small compressed stream
 cannot expand without bound. The perturbation reader accepts only the
 uncompressed `.npz` members `write_perturbation` writes, each holding the
-bytes its header declares. Malformed input raises `FormatError`.
+bytes its header declares, with floating-point fields that form a valid
+`Perturbation`. Malformed input raises `FormatError`.
 """
 
 from __future__ import annotations
@@ -48,8 +49,14 @@ _DEFLATE_MAX_RATIO = 1032
 
 def atomic_write_bytes(path, data: bytes):
     """Write via a sibling temp file + rename, so readers never see a
-    partial file. A failed write or rename removes the temp file."""
+    partial file. A failed write or rename removes the temp file.
+
+    Every writer in the package goes through here, and the file's
+    directory (with any missing parents) is created here, so an output
+    directory appears with the first file written into it: a run that
+    fails before its first write leaves none."""
     path = os.fspath(path)
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = path + ".tmp"
     try:
         with open(tmp, "wb") as fh:
@@ -443,10 +450,13 @@ def read_perturbation(path) -> Perturbation:
             mode = PerturbMode(str(bundle["mode"]))
             first = bundle["first"]
             second = bundle["second"] if "second" in bundle else None
-    except (zipfile.BadZipFile, zlib.error, KeyError, EOFError,
-            NotImplementedError) as exc:
+        for name, field in (("first", first), ("second", second)):
+            if field is not None and field.dtype.kind != "f":
+                raise FormatError(f"field {name!r} is {field.dtype}, not floating")
+        return Perturbation(mode, first, second)
+    except (ValueError, zipfile.BadZipFile, zlib.error, KeyError, EOFError,
+            NotImplementedError) as exc:  # ValueError: FormatError included
         raise FormatError(f"{path}: corrupt perturbation archive: {exc}") from exc
-    return Perturbation(mode, first, second)
 
 
 def perturbation_to_image(p: Perturbation) -> list[Image]:

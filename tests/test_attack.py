@@ -156,12 +156,23 @@ class TestDefaultMu:
     def test_zero_budget_pins(self):
         assert default_mu(LossKind.AEE, TargetKind.ZERO, 0.0) >= 1e10
 
+    @pytest.mark.parametrize("loss", list(LossKind))
+    def test_nan_budget_rejected(self, loss):
+        with pytest.raises(ValueError):
+            default_mu(loss, TargetKind.ZERO, math.nan)
+
 
 class TestConfig:
     def test_cov_joint_rejected(self):
         with pytest.raises(ValueError):
             PcfaConfig(epsilon2=1e-3, box=BoxConstraint.COV,
                        mode=PerturbMode.JOINT)
+
+    @pytest.mark.parametrize("eps2,mu", [(math.nan, None), (math.inf, None),
+                                         (1e-3, math.inf)])
+    def test_budget_must_be_finite(self, eps2, mu):
+        with pytest.raises(ValueError):
+            PcfaConfig(epsilon2=eps2, mu=mu)
 
     def test_custom_target_needs_flow(self):
         with pytest.raises(ValueError):
@@ -644,6 +655,8 @@ class TestIfgsm:
         f1, f2, _ = small_pair
         with pytest.raises(ValueError):
             ifgsm_attack(fast_estimator, f1, f2, eps_inf=1e-3, steps=0)
+        with pytest.raises(ValueError, match="eps_inf"):
+            ifgsm_attack(fast_estimator, f1, f2, eps_inf=math.nan, steps=1)
 
 
 def traced_peak(fn):

@@ -309,6 +309,33 @@ class TestConfigFile:
         assert err.startswith("usage error:") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags,text", [
+        (["--eps2", "nan"], None), (["--eps2", "inf"], None),
+        (["--mu", "inf"], None), ([], "[estimator]\nalpha = inf\n")])
+    def test_nonfinite_setting_is_usage_error(self, tmp_path, capsys, flags,
+                                              text):
+        cfg = tmp_path / "run.ini"
+        argv = []
+        if text is not None:
+            cfg.write_text(text)
+            argv = ["--config", cfg]
+        out = tmp_path / "out"
+        assert run([*argv, "--out", out, "attack", "--steps", 2, *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["attack", "universal"])
+    def test_target_file_needs_custom_target(self, tmp_path, capsys,
+                                             tiny_manifest, command):
+        out = tmp_path / "out"
+        assert run(["--out", out, command, "--manifest", tiny_manifest,
+                    "--target", "zero", "--target-file",
+                    tmp_path / "nonexistent.flo"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "target_file" in err
+        assert not out.exists()
+
     def test_echo_records_target_file(self, tmp_path):
         flo = tmp_path / "zero.flo"
         flowio.write_flo(flo, FlowField(np.zeros((2, 64, 64))))
@@ -584,6 +611,17 @@ class TestUniversalAndTransfer:
                        "and one perturbation file\n")
         assert not out.exists()
 
+    def test_transfer_hostile_perturbation_is_io_error(self, tmp_path,
+                                                       capsys, tiny_manifest):
+        pert = tmp_path / "bogus.npz"
+        np.savez(pert, mode=np.array("bogus"), first=np.zeros((1, 24, 24)))
+        out = tmp_path / "out"
+        assert run(["--out", out, "transfer", "--estimators", "hs",
+                    "--perturbations", pert, "--manifest", tiny_manifest]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"i/o error: {pert}") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_universal_requires_manifest(self, tmp_path):
         assert run(["--out", tmp_path / "x", "universal"]) == 1
 
@@ -600,6 +638,23 @@ class TestVizAndCheckgrad:
     def test_viz_needs_an_input(self, tmp_path):
         assert run(["--out", tmp_path / "v", "viz"]) == 1
         assert not (tmp_path / "v").exists()
+
+    def test_viz_missing_flow_leaves_no_output(self, tmp_path, capsys):
+        out = tmp_path / "v"
+        assert run(["--out", out, "viz", "--flow", tmp_path / "nothere.flo"]) == 2
+        assert capsys.readouterr().err.startswith("i/o error:")
+        assert not out.exists()
+
+    def test_viz_corrupt_pert_leaves_no_output(self, tmp_path, capsys):
+        flo = tmp_path / "f.flo"
+        flowio.write_flo(flo, FlowField(np.zeros((2, 6, 6))))
+        pert = tmp_path / "p.npz"
+        np.savez(pert, mode=np.array("joint"), first=np.full((1, 6, 6), np.nan))
+        out = tmp_path / "v"
+        assert run(["--out", out, "viz", "--flow", flo, "--pert", pert]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"i/o error: {pert}") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_checkgrad_h_zero_rejected(self):
         assert run(["checkgrad", "--h", "0"]) == 1

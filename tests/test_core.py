@@ -52,6 +52,20 @@ class TestContainers:
         with pytest.raises(ShapeError):
             Perturbation(PerturbMode.DISJOINT, d, np.ones((1, 2, 3)))
 
+    @pytest.mark.parametrize("mode", list(PerturbMode))
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_perturbation_rejects_nonfinite(self, mode, value):
+        d = np.zeros((1, 2, 2))
+        bad = d.copy()
+        bad[0, 1, 0] = value
+        fields = [bad] if mode == PerturbMode.JOINT else [d, bad]
+        with pytest.raises(ValueError, match="non-finite"):
+            Perturbation(mode, *fields)
+
+    def test_perturbation_rejects_empty_field(self):
+        with pytest.raises(ShapeError):
+            Perturbation(PerturbMode.JOINT, np.zeros((1, 0, 2)))
+
 
 class TestJointL2Norm:
     def test_zero_field(self):
@@ -102,6 +116,8 @@ class TestScaleBound:
             scale_bound(-0.1, 10, 1)
         with pytest.raises(ValueError):
             scale_bound(0.1, 0, 1)
+        with pytest.raises(ValueError):
+            scale_bound(math.nan, 10, 1)
 
 
 class TestClip01:

@@ -81,6 +81,10 @@ class TestPrimitiveAdjoints:
 
 
 class TestEstimateFlow:
+    def test_alpha_must_be_finite(self):
+        with pytest.raises(ValueError):
+            EstimatorConfig(alpha=np.inf)
+
     def test_identical_frames_zero_flow(self, fast_estimator):
         rng = np.random.default_rng(5)
         img = rng.uniform(0, 1, (3, 12, 12))

@@ -26,6 +26,12 @@ class TestAtomicWrite:
             flowio.atomic_write_bytes(tmp_path / "f", "not bytes")
         assert list(tmp_path.iterdir()) == []
 
+    def test_creates_missing_directories(self, tmp_path):
+        path = tmp_path / "a" / "b" / "f"
+        flowio.atomic_write_bytes(path, b"data")
+        assert path.read_bytes() == b"data"
+        assert [p.name for p in path.parent.iterdir()] == ["f"]
+
 
 class TestFlo:
     def test_single_pixel_layout(self, tmp_path):
@@ -664,5 +670,37 @@ class TestPerturbationFileHostile:
         path.write_bytes(_mutate(path.read_bytes(), mutations))
         try:
             flowio.read_perturbation(path)
-        except ValueError:  # FormatError included
+        except flowio.FormatError:
             pass
+
+    @given(st.sampled_from(list(PerturbMode)) | st.text(max_size=12),
+           # (C, M, N) often enough that some archives are valid
+           st.lists(st.integers(1, 3), min_size=3, max_size=3)
+           | st.lists(st.integers(0, 3), max_size=4),
+           st.lists(st.tuples(
+               st.sampled_from(["float64", "float32", "float16", "bool",
+                                "int64", "complex128", "str"]),
+               st.none() | st.sampled_from([np.nan, np.inf, -np.inf])),
+               min_size=1, max_size=2))
+    @settings(max_examples=200, deadline=None)
+    def test_hostile_members(self, tmp_path_factory, mode, shape, fields):
+        """A well-formed archive with any mode text and fields of any dtype,
+        shape or value reads as a finite float64 Perturbation or raises a
+        FormatError that names the file."""
+        rng = np.random.default_rng(11)
+        arrays = {"mode": np.array(getattr(mode, "value", mode))}
+        for name, (dtype, special) in zip(("first", "second"), fields):
+            values = rng.normal(size=shape)
+            if special is not None and values.size:
+                values.flat[0] = special
+            with np.errstate(invalid="ignore"):
+                arrays[name] = values.astype(dtype)
+        path = tmp_path_factory.mktemp("pert") / "p.npz"
+        np.savez(path, **arrays)
+        try:
+            p = flowio.read_perturbation(path)
+        except flowio.FormatError as exc:
+            assert str(path) in str(exc)
+            return
+        for d in p.fields():
+            assert d.dtype == np.float64 and np.all(np.isfinite(d))
