@@ -14,7 +14,7 @@ budget is included as the baseline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -28,8 +28,7 @@ __all__ = [
     "LossKind", "BoxConstraint", "TargetKind", "Target", "PcfaConfig",
     "AttackResult", "loss_aee", "loss_mse", "loss_cs", "loss_with_grad",
     "penalty_value_grad", "apply_cov", "cov_init", "default_mu",
-    "Parametrization", "PenalizedObjective", "build_problem", "pcfa_attack",
-    "ifgsm_attack",
+    "Parametrization", "PenalizedObjective", "pcfa_attack", "ifgsm_attack",
 ]
 
 AEE_SMOOTHING = 1e-9   # keeps the endpoint norm differentiable; value error <= 1e-9
@@ -433,6 +432,40 @@ def _pair_groups(pairs) -> list[list]:
     return groups
 
 
+class _SolveCache:
+    """The last estimator solve of one attack, so that no frame stack is
+    solved twice in a row.
+
+    The key is the estimator and the bytes of the two (B, C, M, N) float64
+    frame stacks it solved: bytes, so a frame holding -0.0 does not match
+    one holding +0.0. The value is that solve's flows and VJP closure,
+    whose tape the adjoint needs. A call with the kept key returns the
+    kept solve; any other call drops it before its forward runs, so at
+    most one tape is alive. The call's solve is kept, unless `keep` is
+    false: then the cache is left empty. The kept stacks are referenced,
+    not copied: callers pass arrays that nothing changes afterwards.
+    """
+
+    def __init__(self):
+        self._kept = None  # (estimator, frames1, frames2, (flows, vjp))
+
+    def solve(self, estimator: FlowEstimator, frames1, frames2, keep=True):
+        kept = self._kept
+        if (kept is None or kept[0] is not estimator
+                or not _same_bytes(kept[1], frames1)
+                or not _same_bytes(kept[2], frames2)):
+            self._kept = kept = None  # its tape, before the forward builds one
+            kept = (estimator, frames1, frames2,
+                    estimator.value_and_vjp(frames1, frames2))
+        self._kept = kept if keep else None
+        return kept[3]
+
+
+def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two float64 arrays hold the same bytes."""
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 @dataclass
 class PenalizedObjective:
     """x -> (value, gradient) of the mean flow loss over a list of
@@ -457,6 +490,13 @@ class PenalizedObjective:
     the value is bitwise the one a gradient call returns, because both
     add the same terms in the same order.
 
+    When the pairs form one group, the solve goes through `solves`, the
+    attack's one-entry solve cache: a call on frames that the last solve
+    already solved (the gradient call at the point the line search just
+    accepted, or the start when it equals the clean frames) runs only the
+    adjoint, and any other call drops the kept tape before its forward.
+    A call over several groups bypasses the cache with one tape per group.
+
     A value call given a finite `ceiling` (the optimizer's Armijo bar)
     compares `floor(x)`, the first pass's result, against it; when the
     floor already exceeds the ceiling, or is not finite, it returns the
@@ -471,6 +511,8 @@ class PenalizedObjective:
     mu: float
     box_min: float = math.inf
     box_max: float = -math.inf
+    solves: _SolveCache = field(default_factory=_SolveCache, repr=False,
+                                compare=False)
 
     def __post_init__(self):
         if self.param.realized and len(self.pairs) > 1:
@@ -523,10 +565,12 @@ class PenalizedObjective:
         grad_fn = _LOSS_GRADS[self.loss]
         total = 0.0
         gx = np.zeros_like(x)
-        for group in _pair_groups(self.pairs):
+        groups = _pair_groups(self.pairs)
+        for group in groups:
             frames = [param.apply(x, i1, i2)[2:] for i1, i2, _ in group]
-            flows, vjp = self.estimator.value_and_vjp(
-                np.stack([f[0] for f in frames]), np.stack([f[1] for f in frames]))
+            flows, vjp = self.solves.solve(
+                self.estimator, np.stack([f[0] for f in frames]),
+                np.stack([f[1] for f in frames]), keep=len(groups) == 1)
             gflows = np.empty_like(flows)
             for k, (_, _, target) in enumerate(group):
                 lval, gflows[k] = grad_fn(flows[k], target)
@@ -549,57 +593,37 @@ class PenalizedObjective:
         return total, gx
 
 
-@dataclass
-class PcfaProblem:
-    """The penalized objective over flat variables, ready for the optimizer.
-
-    `fun` maps the flat variable vector to (value, gradient) and records
-    the box extremes; `fun.param.apply` recovers (delta1, delta2,
-    perturbed1, perturbed2) arrays from it, and `fun.pairs[0]` holds the
-    frames and the resolved target.
-    """
-
-    fun: PenalizedObjective
-    x0: np.ndarray
-    flow_init: FlowField
+def _setup_pair(estimator: FlowEstimator, frame1, frame2, target: Target,
+                solves: _SolveCache):
+    """Validate a frame pair, predict its unattacked flow through the
+    attack's solve cache (which keeps the solve) and freeze the target
+    against it: (frame1 array, frame2 array, flow_init, target)."""
+    i1 = _as_image(frame1).data
+    i2 = _as_image(frame2).data
+    if i1.shape != i2.shape:
+        raise ShapeError(f"frame shapes differ: {i1.shape} vs {i2.shape}")
+    flows = solves.solve(estimator, i1[None], i2[None])[0]
+    return i1, i2, FlowField(flows[0]), target.resolve(flows[0])
 
 
-def _setup_pair(estimator: FlowEstimator, frame1, frame2, target: Target):
-    """Validate a frame pair, predict its unattacked flow and freeze the
-    target against it: (frame1 array, frame2 array, flow_init, target)."""
-    img1 = _as_image(frame1)
-    img2 = _as_image(frame2)
-    flow_init = estimator.estimate_flow(img1, img2)
-    return img1.data, img2.data, flow_init, target.resolve(flow_init.data)
-
-
-def build_problem(estimator: FlowEstimator, frame1, frame2,
-                  cfg: PcfaConfig) -> PcfaProblem:
-    i1, i2, flow_init, target = _setup_pair(estimator, frame1, frame2, cfg.target)
-    eps_hat, mu = cfg.budget(i1.shape)
-    param = Parametrization(cfg.box, cfg.mode,
-                            realized=cfg.mode == PerturbMode.DISJOINT)
-    fun = PenalizedObjective(estimator, param, [(i1, i2, target)], cfg.loss,
-                             eps_hat, mu)
-    return PcfaProblem(fun=fun, x0=param.start(i1, i2), flow_init=flow_init)
-
-
-def _attack_result(estimator, mode: PerturbMode, d1, d2, p1, p2,
-                   flow_init: FlowField, target, trace: OptimTrace, box_seen,
-                   eps_hat=None, mu=None) -> AttackResult:
-    """Package final fields and frames; re-estimates the adversarial flow."""
-    adv1 = Image(p1)
-    adv2 = Image(p2)
+def _attack_result(solves: _SolveCache, estimator, mode: PerturbMode, d1, d2,
+                   p1, p2, flow_init: FlowField, target, trace: OptimTrace,
+                   box_seen, eps_hat=None, mu=None) -> AttackResult:
+    """Package final fields and frames. The adversarial flow comes from
+    the solve cache, which it leaves empty: the kept solve when the final
+    frames were the last ones solved, else a new one. The result holds
+    copies, never the cache or a VJP, so no tape outlives the attack."""
+    flows = solves.solve(estimator, p1[None], p2[None], keep=False)[0]
     if mode == PerturbMode.JOINT:
         pert = Perturbation(PerturbMode.JOINT, d1)
     else:
         pert = Perturbation(PerturbMode.DISJOINT, d1, d2)
     return AttackResult(
         perturbation=pert,
-        frame1_adv=adv1,
-        frame2_adv=adv2,
+        frame1_adv=Image(p1),
+        frame2_adv=Image(p2),
         flow_init=flow_init,
-        flow_adv=estimator.estimate_flow(adv1, adv2),
+        flow_adv=FlowField(flows[0]),
         target=FlowField(target),
         trace=trace,
         l2_norm=joint_l2_norm(pert),
@@ -618,16 +642,22 @@ def pcfa_attack(estimator: FlowEstimator, frame1, frame2,
     The perturbation starts at zero distortion; the box constraint holds
     at every objective evaluation by construction. The result records the
     unattacked and adversarial flows, the achieved norms, and the
-    optimizer trace.
+    optimizer trace. The setup, every objective call and the final flow
+    share one solve cache, so no frame stack is solved twice in a row.
     """
-    problem = build_problem(estimator, frame1, frame2, cfg)
-    fun = problem.fun
-    params = LbfgsParams(max_steps=cfg.steps)
-    x, trace = lbfgs_minimize(fun, problem.x0, params)
-    i1, i2, target = fun.pairs[0]
-    return _attack_result(estimator, cfg.mode, *fun.param.apply(x, i1, i2),
-                          problem.flow_init, target, trace,
-                          (fun.box_min, fun.box_max), fun.eps_hat, fun.mu)
+    solves = _SolveCache()
+    i1, i2, flow_init, target = _setup_pair(estimator, frame1, frame2,
+                                            cfg.target, solves)
+    eps_hat, mu = cfg.budget(i1.shape)
+    param = Parametrization(cfg.box, cfg.mode,
+                            realized=cfg.mode == PerturbMode.DISJOINT)
+    fun = PenalizedObjective(estimator, param, [(i1, i2, target)], cfg.loss,
+                             eps_hat, mu, solves=solves)
+    x, trace = lbfgs_minimize(fun, param.start(i1, i2),
+                              LbfgsParams(max_steps=cfg.steps))
+    return _attack_result(solves, estimator, cfg.mode, *param.apply(x, i1, i2),
+                          flow_init, target, trace, (fun.box_min, fun.box_max),
+                          eps_hat, mu)
 
 
 def ifgsm_attack(estimator: FlowEstimator, frame1, frame2, eps_inf: float,
@@ -640,30 +670,33 @@ def ifgsm_attack(estimator: FlowEstimator, frame1, frame2, eps_inf: float,
     |delta| <= eps_inf holds afterwards only up to the rounding of
     clip(i + d) - i. The achieved joint L2
     norm is recorded so runs can be compared against L2-budgeted attacks.
+    Step 0 takes its forward from the setup solve.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if not (eps_inf >= 0):  # NaN included
         raise ValueError("eps_inf must be non-negative")
-    i1, i2, flow_init, tgt = _setup_pair(estimator, frame1, frame2, target)
+    solves = _SolveCache()
+    i1, i2, flow_init, tgt = _setup_pair(estimator, frame1, frame2, target,
+                                         solves)
     grad_fn = _LOSS_GRADS[LossKind(loss)]
     step = eps_inf / steps
     trace = OptimTrace(grad_evals=steps)
     p1, p2 = i1, i2
     for n in range(steps):
-        flow, vjp = estimator.value_and_vjp(p1, p2)
-        lval, gflow = grad_fn(flow, tgt)
-        g1, g2 = vjp(gflow)
+        flows, vjp = solves.solve(estimator, p1[None], p2[None])
+        lval, gflow = grad_fn(flows[0], tgt)
+        g1, g2 = vjp(gflow[None])
         if n == 0:
             trace.initial_value = lval
-        d1 = (p1 - i1) - step * np.sign(g1)
-        d2 = (p2 - i2) - step * np.sign(g2)
+        d1 = (p1 - i1) - step * np.sign(g1[0])
+        d2 = (p2 - i2) - step * np.sign(g2[0])
         p1 = np.clip(i1 + d1, 0.0, 1.0)
         p2 = np.clip(i2 + d2, 0.0, 1.0)
         trace.values.append(lval)
         trace.step_lengths.append(step)
-        del vjp  # its tape, before the next step's forward builds one
-    return _attack_result(estimator, PerturbMode.DISJOINT, p1 - i1, p2 - i2,
-                          p1, p2, flow_init, tgt, trace,
+        del vjp  # the cache's is then the only reference to the tape
+    return _attack_result(solves, estimator, PerturbMode.DISJOINT, p1 - i1,
+                          p2 - i2, p1, p2, flow_init, tgt, trace,
                           (float(min(p1.min(), p2.min())),
                            float(max(p1.max(), p2.max()))))

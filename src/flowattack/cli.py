@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -228,6 +229,11 @@ def _read_manifest(config: dict, what: str) -> DatasetManifest:
     return DatasetManifest.from_file(path)
 
 
+def _finite_positive(flag: str, value: float):
+    if not 0 < value < math.inf:  # NaN included
+        raise UsageError(f"{flag} must be finite and positive, got {value}")
+
+
 def _split(text: str) -> list[str]:
     return [s.strip() for s in text.split(",") if s.strip()]
 
@@ -434,6 +440,8 @@ def cmd_transfer(args) -> int:
 def cmd_viz(args) -> int:
     if not (args.flow or args.pert):
         raise UsageError("viz needs --flow and/or --pert")
+    if args.max_mag is not None:
+        _finite_positive("--max-mag", args.max_mag)
     # both inputs are read before anything is written
     flow = flowio.read_flow_any(args.flow)[0] if args.flow else None
     pert = flowio.read_perturbation(args.pert) if args.pert else None
@@ -450,8 +458,10 @@ def cmd_viz(args) -> int:
 
 
 def cmd_checkgrad(args) -> int:
-    if args.h <= 0:
-        raise UsageError("--h must be positive")
+    _finite_positive("--h", args.h)
+    _finite_positive("--tol", args.tol)
+    if args.pairs < 1:
+        raise UsageError(f"--pairs must be >= 1, got {args.pairs}")
     rng = np.random.default_rng(args.seed)
     rows = []
     worst_overall = 0.0
@@ -545,6 +555,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.jobs < 1:
             raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
+        if args.seed < 0:
+            raise UsageError(f"--seed must be >= 0, got {args.seed}")
         if args.config and args.command not in _READS:
             raise UsageError(f"{args.command} reads no configuration file")
         return args.func(args)

@@ -7,8 +7,11 @@ gradient work. The line search asks for values only: an Armijo test
 compares objective values and nothing else, so trial steps never pay for
 a gradient. The starting point and each accepted point but the last one
 max_steps permits are evaluated with the gradient; such an accepted
-point is thus evaluated twice, once per kind of call. Nothing reads a
-gradient at the last permitted step, so none is computed there.
+point is thus called twice, once per kind of call, with the same array.
+An objective may keep the value call's work for the gradient call that
+follows (the attack objective keeps its last solve and runs only the
+adjoint). Nothing reads a gradient at the last permitted step, so none
+is computed there.
 
 A trial passes the Armijo test when its value is at most the bar
 f + SUFFICIENT_DECREASE * t * slope, and the optimizer hands that bar to

@@ -10,10 +10,11 @@ import time
 import numpy as np
 import pytest
 
-from flowattack.attack import (BoxConstraint, LossKind, PcfaConfig, Target,
-                               TargetKind, build_problem, ifgsm_attack,
-                               loss_aee, loss_cs, loss_mse, loss_with_grad,
-                               pcfa_attack, penalty_value_grad)
+from flowattack.attack import (BoxConstraint, LossKind, Parametrization,
+                               PcfaConfig, PenalizedObjective, Target,
+                               TargetKind, ifgsm_attack, loss_aee, loss_cs,
+                               loss_mse, loss_with_grad, pcfa_attack,
+                               penalty_value_grad)
 from flowattack.cli import main as cli_main
 from flowattack.core import (FlowField, PerturbMode, joint_l2_norm,
                              scale_bound)
@@ -91,10 +92,16 @@ def test_criterion_1_gradient_oracle(hs):
                     tgt = cs_target if loss == LossKind.CS else Target.zero()
                     cfg = PcfaConfig(epsilon2=5e-3, loss=loss, box=box,
                                      mode=mode, target=tgt)
-                    problem = build_problem(est, f1, f2, cfg)
-                    x = problem.x0 + np.random.default_rng(seed).normal(
-                        0, 1e-3, problem.x0.shape)
-                    _, grad = problem.fun(x)
+                    param = Parametrization(box, mode, realized=True)
+                    eps_hat, mu = cfg.budget(f1.data.shape)
+                    resolved = tgt.resolve(est.estimate_flow(f1, f2).data)
+                    fun = PenalizedObjective(est, param,
+                                             [(f1.data, f2.data, resolved)],
+                                             loss, eps_hat, mu)
+                    x0 = param.start(f1.data, f2.data)
+                    x = x0 + np.random.default_rng(seed).normal(
+                        0, 1e-3, x0.shape)
+                    _, grad = fun(x)
                     gmax = max(float(np.max(np.abs(grad))), 1e-12)
                     coords = np.random.default_rng(seed + 1).integers(
                         0, x.size, 12)
@@ -104,7 +111,7 @@ def test_criterion_1_gradient_oracle(hs):
                         xp[c] += h
                         xm = x.copy()
                         xm[c] -= h
-                        fd = (problem.fun(xp)[0] - problem.fun(xm)[0]) / (2 * h)
+                        fd = (fun(xp)[0] - fun(xm)[0]) / (2 * h)
                         den = max(abs(fd), abs(grad[c]), 1e-3 * gmax)
                         worst = max(worst, abs(fd - grad[c]) / den)
 

@@ -1,5 +1,7 @@
 import math
 import tracemalloc
+import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from flowattack.attack import (GROUP_PIXELS, BoxConstraint, LossKind,
                                Parametrization, PcfaConfig,
                                PenalizedObjective, Target, TargetKind,
                                _loss_floor, _pair_groups, apply_cov,
-                               build_problem, cov_init, default_mu,
+                               cov_init, default_mu,
                                ifgsm_attack, loss_aee, loss_cs, loss_mse,
                                loss_with_grad, pcfa_attack, penalty_value_grad)
 from flowattack.core import FlowField, PerturbMode, ShapeError, scale_bound
@@ -248,8 +250,15 @@ class TestPcfaAttack:
             for box, mode in combos:
                 cfg = PcfaConfig(epsilon2=5e-3, loss=loss, box=box, mode=mode,
                                  target=target_for(loss))
-                problem = build_problem(fast_estimator, f1, f2, cfg)
-                objectives.append((problem.fun, problem.x0))
+                param = Parametrization(
+                    box, mode, realized=mode == PerturbMode.DISJOINT)
+                eps_hat, mu = cfg.budget(f1.data.shape)
+                target = cfg.target.resolve(
+                    fast_estimator.estimate_flow(f1, f2).data)
+                fun = PenalizedObjective(fast_estimator, param,
+                                         [(f1.data, f2.data, target)], loss,
+                                         eps_hat, mu)
+                objectives.append((fun, param.start(f1.data, f2.data)))
         # the universal objective: raw fields shared by a batch of two pairs,
         # with a bound small enough that the penalty is active
         batch = []
@@ -294,6 +303,16 @@ class CountingEstimator(FlowEstimator):
             self.vjp_calls += 1
             return vjp(cotangent)
         return flow, counted
+
+
+class UphillEstimator(CountingEstimator):
+    """Reports the negated input gradient, so every L-BFGS direction points
+    uphill: the line search rejects each trial that reaches the solver and
+    the attack stops at `line_search` without an accepted step."""
+
+    def value_and_vjp(self, frame1, frame2):
+        flow, vjp = super().value_and_vjp(frame1, frame2)
+        return flow, lambda cotangent: tuple(-g for g in vjp(cotangent))
 
 
 def value_only_cases(estimator):
@@ -659,6 +678,126 @@ class TestIfgsm:
             ifgsm_attack(fast_estimator, f1, f2, eps_inf=math.nan, steps=1)
 
 
+def frame_bytes(frame1, frame2) -> bytes:
+    return b"".join(np.asarray(getattr(f, "data", f)).tobytes()
+                    for f in (frame1, frame2))
+
+
+@pytest.fixture
+def forwards(monkeypatch):
+    """Every estimator forward, recorded as the bytes of the frames it
+    solves (`keys`, in order) and a weak reference to the VJP closure it
+    returns (`vjps`; estimate_flow returns none)."""
+    seen = SimpleNamespace(keys=[], vjps=[])
+    value_and_vjp = FlowEstimator.value_and_vjp
+    estimate_flow = FlowEstimator.estimate_flow
+
+    def solve(estimator, frame1, frame2):
+        seen.keys.append(frame_bytes(frame1, frame2))
+        flow, vjp = value_and_vjp(estimator, frame1, frame2)
+        seen.vjps.append(weakref.ref(vjp))
+        return flow, vjp
+
+    def estimate(estimator, frame1, frame2):
+        seen.keys.append(frame_bytes(frame1, frame2))
+        return estimate_flow(estimator, frame1, frame2)
+    monkeypatch.setattr(FlowEstimator, "value_and_vjp", solve)
+    monkeypatch.setattr(FlowEstimator, "estimate_flow", estimate)
+    return seen
+
+
+class TestOneSolvePerFrameStack:
+    """An attack solves each frame stack once in a row: the setup solve
+    serves a start on the clean frames, the gradient call at an accepted
+    point runs only the adjoint, and the final flow comes from the last
+    solve when that solved the final frames."""
+
+    @pytest.mark.parametrize("steps", [1, 3])
+    def test_ifgsm_makes_steps_plus_one_forwards(self, fast_estimator,
+                                                 small_pair, forwards, steps):
+        f1, f2, _ = small_pair
+        result = ifgsm_attack(fast_estimator, f1, f2, eps_inf=5e-3, steps=steps)
+        assert len(forwards.keys) == steps + 1
+        assert forwards.keys[0] == frame_bytes(f1, f2)  # step 0's too
+        assert forwards.keys[-1] == frame_bytes(result.frame1_adv,
+                                                result.frame2_adv)
+        assert len(set(forwards.keys)) == steps + 1
+
+    @pytest.mark.parametrize("box", list(BoxConstraint))
+    def test_pcfa_solves_each_frame_stack_once(self, fast_estimator,
+                                               small_pair, forwards, box):
+        f1, f2, _ = small_pair
+        cfg = PcfaConfig(epsilon2=5e-3, steps=6, box=box)
+        result = pcfa_attack(fast_estimator, f1, f2, cfg)
+        assert result.trace.stop_reason == "max_steps"
+        assert result.trace.grad_evals == cfg.steps
+        assert len(set(forwards.keys)) == len(forwards.keys)
+        assert forwards.keys[0] == frame_bytes(f1, f2)
+        # the last accepted trial solved the final frames
+        assert forwards.keys[-1] == frame_bytes(result.frame1_adv,
+                                                result.frame2_adv)
+
+    @pytest.mark.parametrize("box", list(BoxConstraint))
+    def test_line_search_stop_solves_flow_adv(self, fast_estimator,
+                                              small_pair, forwards, box):
+        f1, f2, _ = small_pair
+        estimator = UphillEstimator(fast_estimator.config)
+        result = pcfa_attack(estimator, f1, f2,
+                             PcfaConfig(epsilon2=5e-3, steps=3, box=box))
+        assert result.trace.stop_reason == "line_search"
+        assert len(result.trace) == 0
+        # rejected trials replaced the start's solve, so the start's frames
+        # are solved once more for flow_adv, and no other stack twice
+        final = frame_bytes(result.frame1_adv, result.frame2_adv)
+        start = 0 if box == BoxConstraint.CLIPPING else 1
+        assert forwards.keys[start] == forwards.keys[-1] == final
+        assert len(set(forwards.keys)) == len(forwards.keys) - 1
+        assert len(forwards.keys) > start + 2  # trials reached the solver
+        recomputed = fast_estimator.estimate_flow(result.frame1_adv,
+                                                  result.frame2_adv)
+        assert result.flow_adv.data.tobytes() == recomputed.data.tobytes()
+
+    @pytest.mark.parametrize("negative_zero", [False, True])
+    @pytest.mark.parametrize("method", ["clipping", "cov", "ifgsm"])
+    def test_flows_are_bytes_of_a_fresh_solve(self, fast_estimator,
+                                              small_pair, forwards, method,
+                                              negative_zero):
+        f1, f2, _ = small_pair
+        a, b = f1.data.copy(), f2.data.copy()
+        if negative_zero:
+            a[:, :5] = -0.0
+            b[:, :, :3] = -0.0
+        if method == "ifgsm":
+            result = ifgsm_attack(fast_estimator, a, b, eps_inf=5e-3, steps=2)
+        else:
+            result = pcfa_attack(fast_estimator, a, b, PcfaConfig(
+                epsilon2=5e-3, steps=3, box=BoxConstraint(method)))
+        if method == "clipping":
+            # the start clip(i + 0) turns -0.0 into +0.0: only then a miss
+            start = frame_bytes(np.clip(a + 0.0, 0.0, 1.0),
+                                np.clip(b + 0.0, 0.0, 1.0))
+            assert (forwards.keys[1] == start) == negative_zero
+            assert (forwards.keys[0] == start) != negative_zero
+        fresh = [fast_estimator.estimate_flow(a, b),
+                 fast_estimator.estimate_flow(result.frame1_adv,
+                                              result.frame2_adv)]
+        assert result.flow_init.data.tobytes() == fresh[0].data.tobytes()
+        assert result.flow_adv.data.tobytes() == fresh[1].data.tobytes()
+
+    @pytest.mark.parametrize("method", ["clipping", "cov", "ifgsm"])
+    def test_no_vjp_outlives_the_attack(self, fast_estimator, small_pair,
+                                        forwards, method):
+        f1, f2, _ = small_pair
+        if method == "ifgsm":
+            result = ifgsm_attack(fast_estimator, f1, f2, eps_inf=5e-3, steps=2)
+        else:
+            result = pcfa_attack(fast_estimator, f1, f2, PcfaConfig(
+                epsilon2=5e-3, steps=2, box=BoxConstraint(method)))
+        # the result is alive, every VJP closure and its tape is not
+        assert isinstance(result.flow_adv, FlowField)
+        assert forwards.vjps and all(ref() is None for ref in forwards.vjps)
+
+
 def traced_peak(fn):
     """Peak traced allocation, in bytes, while `fn()` runs."""
     tracemalloc.start()
@@ -768,3 +907,38 @@ class TestOneTapeAtATime:
         pairs, peak = self.two_pair_peak(estimator, f1, f2, 128, 136)
         assert len(_pair_groups(pairs)) == 2
         assert peak < 1.2 * gradient_peak(estimator, f1, f2)
+
+    @staticmethod
+    def optimizer_peak(size, steps):
+        """Traced peak of L-BFGS alone over `steps` steps on a quadratic in
+        `size` variables: the iterates, gradients, directions and curvature
+        pairs a PCFA run holds besides the tape, about a third of one
+        gradient evaluation at this grid."""
+        scale = np.linspace(1.0, 10.0, size)
+
+        def quadratic(z, grad=True, ceiling=None):
+            return float(z @ (scale * z)), 2.0 * scale * z if grad else None
+        return traced_peak(lambda: lbfgs_minimize(
+            quadratic, np.ones(size), LbfgsParams(max_steps=steps)))
+
+    @pytest.mark.parametrize("uphill", [False, True])
+    @pytest.mark.parametrize("box", list(BoxConstraint))
+    def test_pcfa(self, setting, box, uphill):
+        """The setup solve and each kept trial solve are dropped before the
+        next forward. Uphill, every trial that reaches the solver is
+        rejected, and the line_search stop solves the final frames once
+        more for flow_adv. The bound adds the optimizer's own state to one
+        gradient evaluation; a second live tape adds about 0.6 of one."""
+        estimator, f1, f2, one = setting
+        counting = (UphillEstimator if uphill else CountingEstimator)(
+            estimator.config)
+        cfg = PcfaConfig(epsilon2=5e-3, steps=3, box=box)
+        results = []
+        peak = traced_peak(lambda: results.append(
+            pcfa_attack(counting, f1, f2, cfg)))
+        trace = results[0].trace
+        assert trace.stop_reason == ("line_search" if uphill else "max_steps")
+        if uphill:  # the setup, the cov start, solved trials, flow_adv
+            assert counting.forward_calls > 2 + (box == BoxConstraint.COV)
+        state = self.optimizer_peak(2 * f1.data.size, cfg.steps)
+        assert peak < 1.2 * (one + state)

@@ -659,6 +659,37 @@ class TestVizAndCheckgrad:
     def test_checkgrad_h_zero_rejected(self):
         assert run(["checkgrad", "--h", "0"]) == 1
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--tol", "nan", "--pairs", 1], "--tol must be finite and positive, got nan"),
+        (["--tol", "inf"], "--tol must be finite and positive, got inf"),
+        (["--tol", "0"], "--tol must be finite and positive, got 0.0"),
+        (["--pairs", 0], "--pairs must be >= 1, got 0"),
+        (["--pairs", -3], "--pairs must be >= 1, got -3"),
+        (["--h", "nan"], "--h must be finite and positive, got nan"),
+        (["--h=-inf"], "--h must be finite and positive, got -inf"),
+    ])
+    def test_checkgrad_fails_closed(self, tmp_path, capsys, argv, message):
+        """The gradient gate checks at least one pair against a finite
+        positive tolerance with a finite positive step, or runs nothing."""
+        out = tmp_path / "cg"
+        assert run(["--out", out, "checkgrad", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"usage error: {message}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
+    def test_viz_max_mag_must_be_finite_and_positive(self, tmp_path, capsys,
+                                                     value):
+        flo = tmp_path / "f.flo"
+        flowio.write_flo(flo, FlowField(np.ones((2, 6, 6))))
+        out = tmp_path / "v"
+        assert run(["--out", out, "viz", "--flow", flo, f"--max-mag={value}"]) == 1
+        err = capsys.readouterr().err
+        assert err == ("usage error: --max-mag must be finite and positive, "
+                       f"got {float(value)}\n")
+        assert not out.exists()
+
     def test_checkgrad_passes(self, capsys):
         assert run(["checkgrad", "--pairs", "1"]) == 0
         out = capsys.readouterr().out
@@ -686,6 +717,25 @@ class TestUsage:
         assert run(["--out", out, "--jobs", 0, command, *argv]) == 1
         assert capsys.readouterr().err == \
             "usage error: --jobs must be >= 1, got 0\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["attack", "universal", "transfer",
+                                         "viz", "checkgrad"])
+    def test_negative_seed_is_usage_error_for_every_command(
+            self, tmp_path, capsys, tiny_manifest, command):
+        pert = tmp_path / "zero.npz"
+        flowio.write_perturbation(
+            pert, Perturbation.zeros(PerturbMode.JOINT, (1, 24, 24)))
+        argv = {"attack": ["--steps", 1],
+                "universal": ["--manifest", tiny_manifest, "--epochs", 1],
+                "transfer": ["--estimators", "hs", "--perturbations", pert,
+                             "--manifest", tiny_manifest],
+                "viz": ["--pert", pert],
+                "checkgrad": ["--pairs", 1]}[command]
+        out = tmp_path / "out"
+        assert run(["--out", out, "--seed", -1, command, *argv]) == 1
+        assert capsys.readouterr().err == \
+            "usage error: --seed must be >= 0, got -1\n"
         assert not out.exists()
 
     def test_bad_flag_value(self):
