@@ -21,9 +21,11 @@ stacked (2, L) array in a flat, zero-guarded layout (`_Guarded`): every
 grid row ends in a zero guard column, and zero guard rows lie above and
 below, so L = M * (N + 1) and the 4-neighbour sum is three adds of
 shifted contiguous slices in the order up + down, + left, + right. A
-sweep makes one such sum. The reverse sweep recomputes each iterate
-pointwise from its residual and makes one stacked neighbour sum, on the
-cotangent. Every result is byte-identical to per-grid neighbour sums.
+sweep makes one such sum, and so does a reverse step, on the cotangent.
+Flows and the cotangents of the start and of b are byte-identical to
+per-grid neighbour sums; the reverse sweep forms the coefficient
+cotangents once from two running sums (`_jacobi_adj`), a reassociation
+that moves them by about 1e-15 of their largest entry.
 
 Tapes hold exactly what the reverse sweep reads. The tape of a forward
 pass is one level tape per pyramid level, finest first:
@@ -302,8 +304,8 @@ def _jacobi(coeffs, u0, v0, alpha, iters):
     residuals): everything `_jacobi_adj` reads and nothing more. The
     residuals r_k are one (K, ..., 2, L) array, 2K * M * (N + 1) floats
     per grid, about the 2(K + 1) * M * N of an iterate tape; a12 and det
-    add one span each and dd two. `_jacobi_adj` recomputes each iterate
-    w_{k+1} pointwise from r_k.
+    add one span each and dd two. `_jacobi_adj` needs no iterate: the
+    coefficient cotangents are bilinear in the cotangents and residuals.
     """
     a11, a12, a22, b1, b2 = coeffs
     m, n = a11.shape[-2:]
@@ -339,58 +341,47 @@ def _jacobi(coeffs, u0, v0, alpha, iters):
 def _jacobi_adj(gu, gv, tape):
     """Reverse sweep of `_jacobi`, on the same guarded layout.
 
-    Step k recomputes the iterate w_{k+1} = (p, q) from the taped
-    residual r_k and runs one stacked neighbour sum, on the cotangent.
-    The cotangent's guard cells pick up finite sums, but the solve's
-    transpose divides them by det = inf, so nothing flows back from them.
-    a12, det and their cotangent are (..., 1, L) spans.
+    With A = [[d11, a12], [a12, d22]] and g_k the cotangent of
+    w_{k+1} = A^-1 r_k, step k forms lambda_k = A^-1 g_k, subtracts it
+    into gb and runs one neighbour sum on it. The coefficient cotangent
+    -sum_k lambda_k w_{k+1}^T = -A^-1 (sum_k g_k r_k^T) A^-1 needs only
+    S = sum g_k * r_k and T = sum g_k * swap(r_k), so no iterate is
+    recomputed and ga11, ga12, ga22 are formed once after the loop, on
+    the grids only: on guard cells det = inf and they would read inf/inf.
+    In the loop the guards' finite cotangents meet dd = a12 = 0 over
+    det = inf, so nothing flows back from them.
     """
     lay, alpha, a12, dd, det, rs = tape
-    a2 = 2.0 * a12
     g = lay.put(gu, gv)
     g += 0.0  # as in `_jacobi`
-    gbuf, gr = lay.buffer(0.0)
-    gdiag = np.zeros_like(g)  # (ga11, ga22)
-    ga12 = np.zeros_like(a12)
+    gbuf, lam = lay.buffer(0.0)
     gb = np.zeros_like(g)
-    pq = np.empty_like(g)
+    s = np.zeros_like(g)
+    t = np.zeros_like(g)
     tmp = np.empty_like(g)
-    first = tmp[..., :1, :]  # tmp's u component, shaped like a12 and det
     for r in rs[::-1]:
-        np.multiply(dd, r, out=pq)
-        np.multiply(a12, _swap(r), out=tmp)
-        pq -= tmp
-        pq /= det
-        # ga12 += (gu * (2 a12 p - r2) + gv * (2 a12 q - r1)) / det
-        np.multiply(a2, pq, out=tmp)
-        tmp -= _swap(r)
-        tmp *= g
-        np.add(first, tmp[..., 1:, :], out=first)
-        first /= det
-        ga12 += first
-        # (ga11, ga22) += (gu * (-p * d22) + gv * (r2 - q * d22),
-        #                  gv * (-q * d11) + gu * (r1 - p * d11)) / det,
-        # with gr's span as scratch until gr itself is computed
-        np.negative(pq, out=tmp)
-        tmp *= dd
-        tmp *= g
-        np.multiply(_swap(pq), dd, out=gr)
-        np.subtract(_swap(r), gr, out=gr)
-        gr *= _swap(g)
-        tmp += gr
-        tmp /= det
-        gdiag += tmp
-        np.multiply(g, dd, out=gr)
+        np.multiply(g, dd, out=lam)
         np.multiply(_swap(g), a12, out=tmp)
-        gr -= tmp
-        gr /= det
-        gb -= gr
+        lam -= tmp
+        lam /= det
+        gb -= lam
+        np.multiply(g, r, out=tmp)
+        s += tmp
+        np.multiply(g, _swap(r), out=tmp)
+        t += tmp
         lay.nsum(gbuf, out=g)
         g *= alpha
-    ga11, ga22 = lay.grids(gdiag)
+    del gbuf, lam, tmp  # on one-channel grids the closed form sets the peak
+    (d22, d11), (a,), (dt,) = lay.grids(dd), lay.grids(a12), lay.grids(det)
+    (s1, s2), (t1, t2) = lay.grids(s), lay.grids(t)
+    t12 = np.add(t1, t2, out=t1)
+    det2 = np.multiply(dt, dt, out=t2)
+    ga11 = -(d22 * d22 * s1 + a * a * s2 - a * d22 * t12) / det2
+    ga22 = -(d11 * d11 * s2 + a * a * s1 - a * d11 * t12) / det2
+    ga12 = (2.0 * a * (d22 * s1 + d11 * s2) - (2.0 * a * a + dt) * t12) / det2
     gb1, gb2 = lay.grids(gb)
     gu, gv = lay.grids(g)
-    return gu, gv, (ga11, *lay.grids(ga12), ga22, gb1, gb2)
+    return gu, gv, (ga11, ga12, ga22, gb1, gb2)
 
 
 # ---------------------------------------------------------------------------

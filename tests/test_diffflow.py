@@ -172,8 +172,12 @@ class TestInputGradient:
                                                FlowField.zeros(32, 32))
         assert not g1.any() and not g2.any()
 
-    def test_linearity_in_cotangent(self, pyramid_estimator, small_pair):
-        f1, f2, _ = small_pair
+    @pytest.mark.parametrize("pair", ["small_pair", "seed1"])
+    def test_linearity_in_cotangent(self, pyramid_estimator, small_pair, pair):
+        """Linear up to rounding: the error is judged on the scale of the
+        gradient's largest entry, since an entry near zero keeps the
+        absolute rounding of its larger neighbours."""
+        f1, f2, _ = small_pair if pair == "small_pair" else make_pair(1, 32, 32)
         rng = np.random.default_rng(7)
         flow, vjp = pyramid_estimator.value_and_vjp(f1, f2)
         ct1 = rng.normal(size=flow.shape)
@@ -182,8 +186,7 @@ class TestInputGradient:
         g1_lin, g2_lin = vjp(a * ct1 + b * ct2)
         g1a, g2a = vjp(ct1)
         g1b, g2b = vjp(ct2)
-        assert np.allclose(g1_lin, a * g1a + b * g1b, rtol=1e-12, atol=1e-15)
-        assert np.allclose(g2_lin, a * g2a + b * g2b, rtol=1e-12, atol=1e-15)
+        assert _close((g1_lin, g2_lin), (a * g1a + b * g1b, a * g2a + b * g2b))
 
     def test_cotangent_shape_checked(self, fast_estimator, small_pair):
         f1, f2, _ = small_pair
@@ -462,8 +465,19 @@ def _same_bytes(xs, ys):
         x.shape == y.shape and x.tobytes() == y.tobytes() for x, y in zip(xs, ys))
 
 
+def _close(xs, ys, rel=1e-14):
+    """Every x within `rel` of the largest entry of its y."""
+    return len(xs) == len(ys) and all(
+        x.shape == y.shape and np.max(np.abs(x - y)) <= rel * np.max(np.abs(y))
+        for x, y in zip(xs, ys))
+
+
 class TestKernelOracles:
-    """The kernels reproduce the original per-grid kernels byte for byte."""
+    """The kernels reproduce the original per-grid kernels: flows and the
+    cotangents of the start and of b byte for byte. The coefficient
+    cotangents, and so the estimator's input gradients, are sums
+    reassociated by `_jacobi_adj`'s closed form; they agree to 1e-14 of
+    their largest entry."""
 
     @pytest.mark.parametrize("shape", [(2, 2), (3, 7), (64, 64)])
     @pytest.mark.parametrize("iters", [1, 60])
@@ -483,7 +497,8 @@ class TestKernelOracles:
         cu, cv = rng.normal(size=(2, m, n))
         gu, gv, gc = df._jacobi_adj(cu, cv, tape)
         gur, gvr, gcr = _reference_jacobi_adj(cu, cv, coeffs, tape_r, 0.07, iters)
-        assert _same_bytes((gu, gv) + tuple(gc), (gur, gvr) + tuple(gcr))
+        assert _same_bytes((gu, gv) + gc[3:], (gur, gvr) + gcr[3:])
+        assert _close(gc[:3], gcr[:3])
 
     @pytest.mark.parametrize("iters", [1, 2])
     def test_negative_zeros_bytes(self, iters):
@@ -503,7 +518,8 @@ class TestKernelOracles:
         assert _same_bytes((u, v), (ur, vr))
         gu, gv, gc = df._jacobi_adj(cu, cv, tape)
         gur, gvr, gcr = _reference_jacobi_adj(cu, cv, coeffs, tape_r, 0.05, iters)
-        assert _same_bytes((gu, gv) + tuple(gc), (gur, gvr) + tuple(gcr))
+        assert _same_bytes((gu, gv) + gc[3:], (gur, gvr) + gcr[3:])
+        assert _close(gc[:3], gcr[:3])
 
     @pytest.mark.parametrize("shape", [(1, 9, 10), (3, 64, 64)])
     def test_warp_adjoint_bytes(self, shape):
@@ -535,12 +551,14 @@ class TestKernelOracles:
         monkeypatch.setattr(df, "_warp_adj", _looped_warp_adj)
         for (frame1, frame2, ct), run in zip(inputs, runs):
             flow_r, vjp_r = est.value_and_vjp(frame1, frame2)
-            assert _same_bytes(run, (flow_r,) + tuple(vjp_r(ct)))
+            assert _same_bytes(run[:1], (flow_r,))
+            assert _close(run[1:], vjp_r(ct))
 
 
 class TestOrchestrationOracle:
     """The estimator's level loops reproduce the original two-branch loops
-    on the reference kernels, byte for byte, flow and VJP."""
+    on the reference kernels: the flow byte for byte, the VJP to 1e-14 of
+    its largest entry (see `TestKernelOracles`)."""
 
     @pytest.mark.parametrize("config", [
         builtin_estimators()["hs"].config,
@@ -558,7 +576,8 @@ class TestOrchestrationOracle:
         grads = vjp(cotangent)
         u, v, tape = _reference_forward(config, f1.data, f2.data)
         grads_r = _reference_backward(config, cotangent[0], cotangent[1], tape)
-        assert _same_bytes((flow,) + tuple(grads), (np.stack([u, v]),) + grads_r)
+        assert _same_bytes((flow,), (np.stack([u, v]),))
+        assert _close(grads, grads_r)
 
 
 class TestBatchedEstimator:
@@ -627,3 +646,36 @@ class TestExactDotProducts:
         # the flows above do pile up: some source pixels take many terms
         weight_sums, _, _ = df._warp_adj(np.ones((c, m, n)), ctx)
         assert weight_sums.max() > 10.0
+
+
+class TestCoefficientCotangents:
+    """The closed-form ga11, ga12, ga22 of `_jacobi_adj` against the
+    function they differentiate: <c, w_K> moved along a random
+    (da11, da12, da22), by a fourth-order central difference. Floating
+    point errors raise, so a guard cell reaching the closed form fails."""
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 7), (23, 31)])
+    @pytest.mark.parametrize("iters", [1, 60])
+    @pytest.mark.parametrize("batch", [None, 2])
+    def test_directional_derivative(self, shape, iters, batch):
+        rng = np.random.default_rng(22)
+        m, n = shape
+        pairs = [_random_coeffs(rng, m, n) for _ in range(batch or 1)]
+        coeffs = [np.stack(c) if batch else c[0] for c in zip(*pairs)]
+        lead = (batch,) if batch else ()
+        u0, v0, cu, cv = rng.normal(size=(4,) + lead + (m, n))
+        da = rng.normal(size=(3,) + lead + (m, n))
+        alpha, h = 0.05, 1e-4
+
+        def value(step):
+            a11, a12, a22, b1, b2 = coeffs
+            moved = (a11 + step * da[0], a12 + step * da[1], a22 + step * da[2], b1, b2)
+            u, v, _ = df._jacobi(moved, u0, v0, alpha, iters)
+            return np.sum(cu * u) + np.sum(cv * v)
+
+        with np.errstate(all="raise"):
+            _, _, tape = df._jacobi(coeffs, u0, v0, alpha, iters)
+            _, _, gcoef = df._jacobi_adj(cu, cv, tape)
+            fd = (8.0 * (value(h) - value(-h)) - (value(2 * h) - value(-2 * h))) / (12 * h)
+        analytic = sum(np.sum(g * d) for g, d in zip(gcoef[:3], da))
+        assert analytic == pytest.approx(fd, rel=1e-9)
