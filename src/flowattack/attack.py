@@ -114,6 +114,8 @@ class PcfaConfig:
         if self.box == BoxConstraint.COV and self.mode == PerturbMode.JOINT:
             raise ValueError("the change-of-variables box constraint only "
                              "supports disjoint perturbations")
+        if self.mu is None:  # a budget with no finite default fails here
+            default_mu(self.loss, self.target.kind, self.epsilon2)
 
     def budget(self, shape) -> tuple[float, float]:
         """(eps_hat, mu) for frames of `shape` (C, M, N): the scaled L2
@@ -287,11 +289,11 @@ def _cov_deriv(w):
     return 0.5 * (1.0 - t * t) * (np.abs(w) < COV_WMAX)
 
 
-def cov_init(image, kappa: float = COV_KAPPA) -> np.ndarray:
-    """Auxiliaries reproducing the frame, i.e. zero initial distortion
-    (up to the kappa clamp that keeps atanh finite at exact 0/1 pixels)."""
+def cov_init(image) -> np.ndarray:
+    """Auxiliaries reproducing the frame, i.e. zero initial distortion (up
+    to the COV_KAPPA clamp that keeps atanh finite at exact 0/1 pixels)."""
     iz = image.data if isinstance(image, Image) else np.asarray(image, dtype=np.float64)
-    return np.arctanh(2.0 * np.clip(iz, kappa, 1.0 - kappa) - 1.0)
+    return np.arctanh(2.0 * np.clip(iz, COV_KAPPA, 1.0 - COV_KAPPA) - 1.0)
 
 
 _MU_AEE_TABLE = ((5e-4, 5e6), (1e-3, 1e6), (5e-3, 5e5), (1e-2, 1e5), (5e-2, 5e4))
@@ -306,7 +308,9 @@ def default_mu(loss: LossKind, target_kind: TargetKind, eps2: float) -> float:
     Tabulated pairings for the endpoint-error loss; a single anchor with
     an inverse eps-mu trend for the squared and cosine losses. Budgets off
     the table interpolate log-linearly; a zero budget pins the
-    perturbation with a fixed very large weight.
+    perturbation with a fixed very large weight. A budget whose weight
+    is not a finite positive float (eps2 below about 6.7e-134 for aee,
+    1.4e-304 to 2e-304 for mse and cs) is a ValueError.
     """
     if not (eps2 >= 0):  # NaN included
         raise ValueError("eps2 must be non-negative")
@@ -319,16 +323,19 @@ def default_mu(loss: LossKind, target_kind: TargetKind, eps2: float) -> float:
         xs = np.log([row[0] for row in _MU_AEE_TABLE])
         ys = np.log([row[1] for row in _MU_AEE_TABLE])
         lx = math.log(eps2)
-        if lx <= xs[0]:
-            k = 0
-        elif lx >= xs[-1]:
-            k = len(xs) - 2
-        else:
-            k = int(np.searchsorted(xs, lx) - 1)
+        # the segment holding lx, or the end segment it extrapolates
+        k = min(max(int(np.searchsorted(xs, lx)) - 1, 0), len(xs) - 2)
         slope = (ys[k + 1] - ys[k]) / (xs[k + 1] - xs[k])
-        return float(math.exp(ys[k] + slope * (lx - xs[k])))
-    anchor = _MU_ANCHOR[TargetKind(target_kind) == TargetKind.ZERO]
-    return anchor * (_MU_ANCHOR_EPS / eps2)
+        try:
+            mu = math.exp(ys[k] + slope * (lx - xs[k]))
+        except OverflowError:
+            mu = math.inf
+    else:
+        anchor = _MU_ANCHOR[TargetKind(target_kind) == TargetKind.ZERO]
+        mu = anchor * (_MU_ANCHOR_EPS / eps2)
+    if not 0 < mu < math.inf:
+        raise ValueError(f"eps2 = {eps2} has no finite default mu; set mu")
+    return mu
 
 
 # ---------------------------------------------------------------------------

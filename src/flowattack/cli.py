@@ -6,7 +6,8 @@ sections and keys `_READS` lists for it; any other section or key, from
 the file or from a flag, is a usage error rather than ignored. Every run
 writes the configuration it used, and nothing else, next to its results;
 `viz` and `checkgrad` read no configuration file. Exit codes: 0 success,
-1 usage, 2 I/O or inputs on mismatched grids, 3 numeric failure.
+1 usage, 2 I/O or inputs on mismatched grids, 3 numeric failure (an
+optimizer value that is not finite, or a solve that overflows).
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .diffflow import EstimatorConfig, FlowEstimator, builtin_estimators, \
     finite_diff_check
 from .evaluation import AttackReport, TraceSummary, attack_strength, \
     adversarial_robustness, masked_aee, transfer_matrix
-from .optim import NumericError
 from .synthetic import make_pair
 from .universal import DatasetManifest, UniversalTrainConfig, train_universal
 
@@ -569,7 +569,7 @@ def main(argv=None) -> int:
     except ShapeError as exc:
         print(f"shape mismatch: {exc}", file=sys.stderr)
         return 2
-    except NumericError as exc:
+    except ArithmeticError as exc:  # NumericError, or a solve that overflowed
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
 

@@ -6,9 +6,10 @@ by a fixed number of coupled per-pixel 2x2 Jacobi updates on the
 Euler-Lagrange system. Optionally the solve runs coarse-to-fine over an
 image pyramid, warping the second frame by the upsampled flow before each
 level's solve. The iteration count and pyramid depth are fixed at
-construction, so the computation graph is static and `input_gradient`
-returns the exact adjoint (vector-Jacobian product) of that graph,
-hand-derived and verified against finite differences.
+construction, so the computation graph is static and the closure that
+`value_and_vjp` returns is the exact adjoint (vector-Jacobian product) of
+that graph, hand-derived and verified against finite differences. Every
+flow comes from that one forward: `estimate_flow` is its flow.
 
 Stencil conventions (fixed so the adjoint is unambiguous): spatial
 derivatives are central differences with replicated boundaries, averaged
@@ -393,7 +394,7 @@ class EstimatorConfig:
     """Static solver shape: fixed before any attack runs against it."""
 
     alpha: float = 0.05
-    iterations: int = 100
+    iterations: int = 60
     pyramid_levels: int = 1
     warp: bool = False
 
@@ -419,9 +420,10 @@ def _as_frame(x, batched=False) -> np.ndarray:
 class FlowEstimator:
     """Deterministic differentiable flow estimator with a VJP contract.
 
-    Instances are immutable; `estimate_flow` and `input_gradient` are pure
-    and safe to call concurrently. `label` identifies the estimator in
-    transfer-matrix reports.
+    Instances are immutable; `value_and_vjp`, the one solve, and
+    `estimate_flow`, its flow, are pure and safe to call concurrently.
+    `label` identifies the estimator in transfer-matrix reports; with no
+    config the estimator is the built-in `hs`.
     """
 
     def __init__(self, config: EstimatorConfig | None = None, label: str = "hs"):
@@ -431,9 +433,9 @@ class FlowEstimator:
     def __repr__(self):
         return f"FlowEstimator({self.config!r}, label={self.label!r})"
 
-    def _check_pair(self, frame1, frame2, batched=False):
-        f1 = _as_frame(frame1, batched)
-        f2 = _as_frame(frame2, batched)
+    def _check_pair(self, frame1, frame2):
+        f1 = _as_frame(frame1, batched=True)
+        f2 = _as_frame(frame2, batched=True)
         if f1.shape != f2.shape:
             raise ShapeError(f"frame shapes differ: {f1.shape} vs {f2.shape}")
         m, n = f1.shape[-2:]
@@ -500,10 +502,8 @@ class FlowEstimator:
         return grads[0]
 
     def estimate_flow(self, frame1, frame2) -> FlowField:
-        """Flow after exactly the configured unrolled updates per level."""
-        f1, f2 = self._check_pair(frame1, frame2)
-        u, v, _ = self._forward(f1, f2)
-        return FlowField(np.stack([u, v]))
+        """The flow of one (C, M, N) pair: `value_and_vjp`'s flow."""
+        return FlowField(self.value_and_vjp(frame1, frame2)[0])
 
     def value_and_vjp(self, frame1, frame2):
         """One forward pass returning the flow and a reusable VJP closure.
@@ -512,13 +512,16 @@ class FlowEstimator:
         pairs solved in one batch: the flow is then (B, 2, M, N) and each
         pair's flow and gradients are bitwise those of its own call. The
         closure maps a cotangent shaped like the flow to the pair of
-        frame-shaped input gradients; it may be called repeatedly.
+        frame-shaped input gradients; it may be called repeatedly. A
+        forward that overflows, divides by zero or forms a NaN raises
+        FloatingPointError instead of returning a non-finite flow.
         """
-        f1, f2 = self._check_pair(frame1, frame2, batched=True)
+        f1, f2 = self._check_pair(frame1, frame2)
         lead = f1.shape[:-3]
         if lead == (1,):  # a batch of one runs as the pair: the same numbers,
             f1, f2 = f1[0], f2[0]  # and less overhead in every numpy call
-        u, v, tape = self._forward(f1, f2)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            u, v, tape = self._forward(f1, f2)
         solved = np.stack([u, v], axis=-3)
         flow = solved.reshape(lead + solved.shape[-3:])
 
@@ -531,13 +534,6 @@ class FlowEstimator:
             return tuple(g.reshape(lead + g.shape[-3:]) for g in grads)
 
         return flow, vjp
-
-    def input_gradient(self, frame1, frame2, cotangent):
-        """Exact adjoint of the unrolled computation, linear in the cotangent."""
-        ct = cotangent.data if isinstance(cotangent, FlowField) else np.asarray(
-            cotangent, dtype=np.float64)
-        _, vjp = self.value_and_vjp(frame1, frame2)
-        return vjp(ct)
 
 
 def finite_diff_check(estimator: FlowEstimator, frame1, frame2, loss, h: float,
@@ -581,9 +577,9 @@ def finite_diff_check(estimator: FlowEstimator, frame1, frame2, loss, h: float,
 
 
 def builtin_estimators() -> dict[str, FlowEstimator]:
-    """The two shipped solver configurations, keyed by label."""
-    single = FlowEstimator(EstimatorConfig(alpha=0.05, iterations=60,
-                                           pyramid_levels=1, warp=False), label="hs")
+    """The two shipped solver configurations, keyed by label; `hs` is
+    `EstimatorConfig()`."""
+    single = FlowEstimator(EstimatorConfig(), label="hs")
     pyramidal = FlowEstimator(EstimatorConfig(alpha=0.05, iterations=40,
                                               pyramid_levels=3, warp=True),
                               label="hs-pyr")

@@ -15,6 +15,8 @@ from .core import FlowField, Image
 
 __all__ = ["make_pair", "make_suite"]
 
+CONTRAST = 0.8  # frames span [0.1, 0.9], away from the box bounds 0 and 1
+
 
 def _texture(rng, channels, waves=8):
     amp = rng.uniform(0.3, 1.0, (channels, waves))
@@ -33,20 +35,17 @@ def _texture(rng, channels, waves=8):
     return sample
 
 
-def make_pair(seed: int, height: int = 64, width: int = 64, channels: int = 1,
-              shift: tuple[float, float] | None = None,
-              contrast: float = 0.8) -> tuple[Image, Image, FlowField]:
-    """One texture pair translated by `shift` = (dx, dy) pixels.
+def make_pair(seed: int, height: int = 64, width: int = 64,
+              channels: int = 1) -> tuple[Image, Image, FlowField]:
+    """One texture pair translated by a random fractional displacement
+    (dx, dy) with magnitude in [0.6, 1.8] px, at contrast CONTRAST.
 
-    Returns (frame1, frame2, true_flow). When `shift` is None a random
-    fractional displacement with magnitude in [0.6, 1.8] px is drawn.
+    Returns (frame1, frame2, true_flow).
     """
     rng = np.random.default_rng(seed)
-    if shift is None:
-        mag = rng.uniform(0.6, 1.8)
-        ang = rng.uniform(0.0, 2.0 * np.pi)
-        shift = (mag * np.cos(ang), mag * np.sin(ang))
-    dx, dy = float(shift[0]), float(shift[1])
+    mag = rng.uniform(0.6, 1.8)
+    ang = rng.uniform(0.0, 2.0 * np.pi)
+    dx, dy = float(mag * np.cos(ang)), float(mag * np.sin(ang))
     tex = _texture(rng, channels)
     xx, yy = np.meshgrid(np.arange(width, dtype=float),
                          np.arange(height, dtype=float))
@@ -56,8 +55,8 @@ def make_pair(seed: int, height: int = 64, width: int = 64, channels: int = 1,
     hi = max(raw1.max(), raw2.max())
     span = max(hi - lo, 1e-12)
     mid = 0.5
-    f1 = mid + contrast * ((raw1 - lo) / span - 0.5)
-    f2 = mid + contrast * ((raw2 - lo) / span - 0.5)
+    f1 = mid + CONTRAST * ((raw1 - lo) / span - 0.5)
+    f2 = mid + CONTRAST * ((raw2 - lo) / span - 0.5)
     flow = np.empty((2, height, width))
     flow[0] = dx
     flow[1] = dy

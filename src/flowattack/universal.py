@@ -146,9 +146,10 @@ def train_universal(estimator: FlowEstimator, data: DatasetManifest,
     shape = pairs[0][0].data.shape
     eps_hat, mu = atk.budget(shape)
     param = Parametrization(BoxConstraint.CLIPPING, atk.mode, realized=False)
-    # a zero target needs no forward pass
-    targets = [np.zeros((2,) + shape[1:]) if atk.target.kind == TargetKind.ZERO
-               else atk.target.resolve(estimator.estimate_flow(f1, f2).data)
+    # only a negative target reads the prediction; the others get zeros
+    targets = [atk.target.resolve(estimator.estimate_flow(f1, f2).data
+                                  if atk.target.kind == TargetKind.NEGATIVE
+                                  else np.zeros((2,) + shape[1:]))
                for f1, f2 in pairs]
 
     x = param.start(pairs[0][0].data, pairs[0][1].data)

@@ -163,6 +163,27 @@ class TestDefaultMu:
         with pytest.raises(ValueError):
             default_mu(loss, TargetKind.ZERO, math.nan)
 
+    @pytest.mark.parametrize("loss,eps2", [
+        (LossKind.AEE, 1e-300), (LossKind.AEE, 6e-134), (LossKind.MSE, 1e-305),
+        (LossKind.CS, 1e-305), (LossKind.MSE, 5e-324)])
+    def test_budget_without_finite_weight_rejected(self, loss, eps2):
+        """Below these budgets the default weight overflows (aee's
+        extrapolation) or is inf (mse, cs): a ValueError naming both, when
+        the configuration is built; an explicit mu still runs."""
+        for target in TargetKind:
+            with pytest.raises(ValueError, match="eps2.*mu"):
+                default_mu(loss, target, eps2)
+        with pytest.raises(ValueError, match="eps2.*mu"):
+            PcfaConfig(epsilon2=eps2, loss=loss)
+        assert PcfaConfig(epsilon2=eps2, loss=loss, mu=1.0).budget(
+            (1, 4, 4))[1] == 1.0
+
+    @pytest.mark.parametrize("loss,eps2", [
+        (LossKind.AEE, 7e-134), (LossKind.AEE, 1e300), (LossKind.MSE, 1e-303),
+        (LossKind.CS, 1e300)])
+    def test_extreme_budget_weight_finite(self, loss, eps2):
+        assert 0 < default_mu(loss, TargetKind.ZERO, eps2) < math.inf
+
 
 class TestConfig:
     def test_cov_joint_rejected(self):
@@ -685,24 +706,19 @@ def frame_bytes(frame1, frame2) -> bytes:
 
 @pytest.fixture
 def forwards(monkeypatch):
-    """Every estimator forward, recorded as the bytes of the frames it
+    """Every estimator forward (each one is a `value_and_vjp` call, an
+    `estimate_flow` one included), recorded as the bytes of the frames it
     solves (`keys`, in order) and a weak reference to the VJP closure it
-    returns (`vjps`; estimate_flow returns none)."""
+    returns (`vjps`)."""
     seen = SimpleNamespace(keys=[], vjps=[])
     value_and_vjp = FlowEstimator.value_and_vjp
-    estimate_flow = FlowEstimator.estimate_flow
 
     def solve(estimator, frame1, frame2):
         seen.keys.append(frame_bytes(frame1, frame2))
         flow, vjp = value_and_vjp(estimator, frame1, frame2)
         seen.vjps.append(weakref.ref(vjp))
         return flow, vjp
-
-    def estimate(estimator, frame1, frame2):
-        seen.keys.append(frame_bytes(frame1, frame2))
-        return estimate_flow(estimator, frame1, frame2)
     monkeypatch.setattr(FlowEstimator, "value_and_vjp", solve)
-    monkeypatch.setattr(FlowEstimator, "estimate_flow", estimate)
     return seen
 
 

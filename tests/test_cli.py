@@ -311,7 +311,9 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("flags,text", [
         (["--eps2", "nan"], None), (["--eps2", "inf"], None),
-        (["--mu", "inf"], None), ([], "[estimator]\nalpha = inf\n")])
+        (["--mu", "inf"], None), ([], "[estimator]\nalpha = inf\n"),
+        # budgets whose default mu overflows (aee) or is inf (mse)
+        (["--eps2", "1e-300"], None), (["--eps2", "1e-310", "--loss", "mse"], None)])
     def test_nonfinite_setting_is_usage_error(self, tmp_path, capsys, flags,
                                               text):
         cfg = tmp_path / "run.ini"
@@ -754,3 +756,78 @@ class TestUsage:
                 sections = [section for section, keys in
                             cli._READS[command].items() if action.dest in keys]
                 assert len(sections) == 1, (command, action.dest)
+
+
+# Every numeric setting: (command, setting, fixed lines of its section).
+# A `section.key` setting is drawn in a config file, a `--flag` on the
+# command line.
+NUMERIC_SETTINGS = [
+    *[("attack", f"attack.{key}", "") for key in ("eps2", "mu", "steps")],
+    *[("attack", f"estimator.{key}", f"label = {label}")
+      for label in ("hs", "hs-pyr") for key in ("alpha", "iterations", "levels")],
+    *[("attack", f"attack.{key}", "method = ifgsm") for key in ("eps2", "steps")],
+    *[("universal", f"attack.{key}", "") for key in ("eps2", "mu")],
+    *[("universal", f"universal.{key}", "")
+      for key in ("epochs", "batch_size", "steps_per_batch")],
+    ("viz", "--max-mag", ""),
+    *[("checkgrad", flag, "") for flag in ("--h", "--tol", "--pairs")],
+    ("attack", "--seed", ""), ("attack", "--jobs", ""),
+]
+NUMERIC_VALUES = ["nan", "inf", "-inf", "0", "-1", "1e-300", "1e300", "", "abc"]
+# Each command's smallest run, keyed by the setting each flag sets, so
+# that a drawn setting replaces the flag that would override it.
+SMALL_RUNS = {
+    "attack": {"frames": ["--frames", "a.png", "b.png"], "steps": ["--steps", 1]},
+    "universal": {"manifest": ["--manifest", "pairs.txt"],
+                  "epochs": ["--epochs", 1], "steps_per_batch": ["--steps", 1]},
+    "viz": {"flow": ["--flow", "gt.flo"]},
+    "checkgrad": {"pairs": ["--pairs", 1]},
+}
+
+
+@pytest.fixture(scope="module")
+def small_inputs(tmp_path_factory):
+    """One 16x16 pair, a manifest naming it and its true flow."""
+    root = tmp_path_factory.mktemp("small")
+    f1, f2, gt = make_pair(1, 16, 16)
+    flowio.write_image_png(root / "a.png", f1, bit_depth=16)
+    flowio.write_image_png(root / "b.png", f2, bit_depth=16)
+    flowio.write_flo(root / "gt.flo", gt)
+    (root / "pairs.txt").write_text("a.png b.png\n")
+    return root
+
+
+def _setting_id(case):
+    command, setting, lines = case
+    return "-".join([command, *lines.split(" = ")[1:], setting])
+
+
+class TestNumericSettings:
+    @pytest.mark.parametrize("value", NUMERIC_VALUES, ids=lambda v: v or "empty")
+    @pytest.mark.parametrize("case", NUMERIC_SETTINGS, ids=_setting_id)
+    def test_fails_closed(self, tmp_path, capsys, monkeypatch, small_inputs,
+                          case, value):
+        """Any value of any numeric setting runs, or exits 1-3 with one
+        stderr line and no --out: never a traceback."""
+        command, setting, lines = case
+        monkeypatch.chdir(small_inputs)
+        small = dict(SMALL_RUNS[command])
+        out = tmp_path / "out"
+        before, after = ["--out", out], []
+        if setting in ("--seed", "--jobs"):
+            before.append(f"{setting}={value}")
+        elif setting.startswith("--"):
+            small.pop(setting[2:], None)
+            after.append(f"{setting}={value}")
+        else:
+            section, key = setting.split(".")
+            small.pop(key, None)
+            config = tmp_path / "run.ini"
+            config.write_text(f"[{section}]\n{lines}\n{key} = {value}\n")
+            before += ["--config", config]
+        code = run([*before, command, *sum(small.values(), []), *after])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3)
+        if code:
+            assert err.endswith("\n") and err.count("\n") == 1, err
+            assert not out.exists()

@@ -113,6 +113,26 @@ class TestEstimateFlow:
             fast_estimator.estimate_flow(np.zeros((1, 8, 8)),
                                          np.zeros((1, 8, 9)))
 
+    def test_default_is_builtin_hs(self, small_pair):
+        hs = builtin_estimators()["hs"]
+        assert hs.config == EstimatorConfig() == FlowEstimator().config
+        f1, f2, _ = small_pair
+        flow, _ = hs.value_and_vjp(f1, f2)
+        assert hs.estimate_flow(f1, f2).data.tobytes() == flow.tobytes()
+
+    @pytest.mark.parametrize("label", ["hs", "hs-pyr"])
+    @pytest.mark.parametrize("alpha,scale", [(1e-300, 1.0), (0.05, 1e300)])
+    def test_overflowing_solve_raises(self, small_pair, label, alpha, scale):
+        """A solve that divides by zero or overflows raises instead of
+        returning a non-finite flow or indexing with a NaN coordinate."""
+        cfg = builtin_estimators()[label].config
+        est = FlowEstimator(EstimatorConfig(alpha, cfg.iterations,
+                                            cfg.pyramid_levels, cfg.warp))
+        f1, f2, _ = small_pair
+        for solve in (est.value_and_vjp, est.estimate_flow):
+            with pytest.raises(FloatingPointError):
+                solve(scale * f1.data, scale * f2.data)
+
     def test_too_small_for_pyramid(self):
         est = FlowEstimator(EstimatorConfig(pyramid_levels=4))
         with pytest.raises(ShapeError):
@@ -168,8 +188,8 @@ class TestEstimateFlow:
 class TestInputGradient:
     def test_zero_cotangent(self, fast_estimator, small_pair):
         f1, f2, _ = small_pair
-        g1, g2 = fast_estimator.input_gradient(f1, f2,
-                                               FlowField.zeros(32, 32))
+        _, vjp = fast_estimator.value_and_vjp(f1, f2)
+        g1, g2 = vjp(FlowField.zeros(32, 32).data)
         assert not g1.any() and not g2.any()
 
     @pytest.mark.parametrize("pair", ["small_pair", "seed1"])
@@ -190,8 +210,9 @@ class TestInputGradient:
 
     def test_cotangent_shape_checked(self, fast_estimator, small_pair):
         f1, f2, _ = small_pair
+        _, vjp = fast_estimator.value_and_vjp(f1, f2)
         with pytest.raises(ShapeError):
-            fast_estimator.input_gradient(f1, f2, np.zeros((2, 8, 8)))
+            vjp(np.zeros((2, 8, 8)))
 
     def test_one_step_solve_adjoint_exact(self):
         """The Jacobi update is linear in the flow iterate; its adjoint

@@ -9,8 +9,8 @@ from flowattack import io as flowio
 from flowattack import universal
 from flowattack.attack import (BoxConstraint, LossKind, PcfaConfig, Target,
                                TargetKind, pcfa_attack)
-from flowattack.core import (Image, PerturbMode, ShapeError, joint_l2_norm,
-                             scale_bound)
+from flowattack.core import (FlowField, Image, PerturbMode, ShapeError,
+                             joint_l2_norm, scale_bound)
 from flowattack.diffflow import FlowEstimator
 from flowattack.optim import INITIAL_STEP, lbfgs_minimize
 from flowattack.synthetic import make_pair, make_suite
@@ -226,11 +226,12 @@ class TestTrainUniversal:
         assert pert.second is not None
         assert joint_l2_norm(pert) <= 1.01 * scale_bound(5e-3, 24 * 24, 1)
 
-    @pytest.mark.parametrize("kind,calls", [("zero", 0), ("negative", 3)])
+    @pytest.mark.parametrize("kind,calls", [("zero", 0), ("negative", 3),
+                                            ("custom", 0)])
     def test_targets_resolved_once_up_front(self, fast_estimator, monkeypatch,
                                             kind, calls):
         """One prediction per pair, all before the first batch, whatever
-        the number of epochs; a zero target needs none."""
+        the number of epochs; only the negative target reads it."""
         events = []
 
         def logged(fn, event):
@@ -245,8 +246,10 @@ class TestTrainUniversal:
                             logged(universal.lbfgs_minimize, "batch"))
         suite = make_suite(3, seed=7, height=24, width=24)
         data = DatasetManifest.from_pairs([(a, b) for a, b, _ in suite])
-        cfg = PcfaConfig(epsilon2=5e-3, loss=LossKind.MSE,
-                         target=Target(TargetKind(kind)), mode=PerturbMode.JOINT)
+        target = (Target.custom_flow(FlowField(np.ones((2, 24, 24))))
+                  if kind == "custom" else Target(TargetKind(kind)))
+        cfg = PcfaConfig(epsilon2=5e-3, loss=LossKind.MSE, target=target,
+                         mode=PerturbMode.JOINT)
         train_universal(fast_estimator, data, UniversalTrainConfig(
             attack=cfg, epochs=3, batch_size=2))
         assert events == ["estimate"] * calls + ["batch"] * 6
