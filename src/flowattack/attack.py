@@ -600,15 +600,26 @@ class PenalizedObjective:
         return total, gx
 
 
+def _frame_pairs(pairs) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The one frame check of every attack: (frame1, frame2) pairs of
+    Images or arrays as validated arrays, every frame of one (C, M, N)
+    shape. An empty list is a ValueError, a second shape a ShapeError."""
+    arrays = [(_as_image(f1).data, _as_image(f2).data) for f1, f2 in pairs]
+    if not arrays:
+        raise ValueError("no frame pairs")
+    shape = arrays[0][0].shape
+    for frame in (f for pair in arrays for f in pair):
+        if frame.shape != shape:
+            raise ShapeError(f"frame shapes differ: {shape} vs {frame.shape}")
+    return arrays
+
+
 def _setup_pair(estimator: FlowEstimator, frame1, frame2, target: Target,
                 solves: _SolveCache):
-    """Validate a frame pair, predict its unattacked flow through the
+    """Check a frame pair, predict its unattacked flow through the
     attack's solve cache (which keeps the solve) and freeze the target
     against it: (frame1 array, frame2 array, flow_init, target)."""
-    i1 = _as_image(frame1).data
-    i2 = _as_image(frame2).data
-    if i1.shape != i2.shape:
-        raise ShapeError(f"frame shapes differ: {i1.shape} vs {i2.shape}")
+    [(i1, i2)] = _frame_pairs([(frame1, frame2)])
     flows = solves.solve(estimator, i1[None], i2[None])[0]
     return i1, i2, FlowField(flows[0]), target.resolve(flows[0])
 
@@ -681,8 +692,8 @@ def ifgsm_attack(estimator: FlowEstimator, frame1, frame2, eps_inf: float,
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    if not (eps_inf >= 0):  # NaN included
-        raise ValueError("eps_inf must be non-negative")
+    if not (0 <= eps_inf < math.inf):  # NaN included
+        raise ValueError(f"eps_inf must be finite and non-negative, got {eps_inf}")
     solves = _SolveCache()
     i1, i2, flow_init, tgt = _setup_pair(estimator, frame1, frame2, target,
                                          solves)

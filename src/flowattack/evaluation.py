@@ -16,10 +16,10 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .attack import _flow_pair
+from .attack import _flow_pair, _frame_pairs
 from .core import Perturbation, ShapeError
 from .diffflow import FlowEstimator
-from .universal import DatasetManifest, apply_universal
+from .universal import apply_universal
 
 __all__ = [
     "AttackReport", "TraceSummary", "attack_strength",
@@ -151,19 +151,21 @@ class AttackReport:
 # ---------------------------------------------------------------------------
 
 def transfer_matrix(estimators: list[FlowEstimator],
-                    perturbations: list[Perturbation],
-                    data: DatasetManifest):
-    """Mean adversarial robustness of estimator i under perturbation j.
+                    perturbations: list[Perturbation], pairs):
+    """Mean adversarial robustness of estimator i under perturbation j
+    over (frame1, frame2) pairs, Images or arrays.
 
     Columns share the perturbation's training source, so the diagonal is
-    the white-box entry when estimators and perturbations align. Grid
-    mismatches mark the entry invalid (NaN) without failing the rest.
+    the white-box entry when estimators and perturbations align. Every
+    frame must have one (C, M, N) shape, else it is a ShapeError; a
+    perturbation on another grid marks its entries invalid (NaN) without
+    failing the rest.
 
     Returns (matrix, valid) as (len(estimators), len(perturbations)) arrays.
     """
     if not estimators or not perturbations:
         raise ValueError("need at least one estimator and one perturbation")
-    pairs = data.load_pairs()
+    pairs = _frame_pairs(pairs)
     matrix = np.full((len(estimators), len(perturbations)), np.nan)
     valid = np.zeros(matrix.shape, dtype=bool)
     for i, est in enumerate(estimators):

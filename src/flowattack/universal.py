@@ -16,7 +16,7 @@ import numpy as np
 
 from . import io as flowio
 from .attack import BoxConstraint, Parametrization, PcfaConfig, \
-    PenalizedObjective, TargetKind
+    PenalizedObjective, TargetKind, _as_image, _frame_pairs
 # unused here; bench/spans.py patches this name and fails without it
 from .attack import penalty_value_grad  # noqa: F401
 from .core import Image, Perturbation, PerturbMode, ShapeError, clip01
@@ -29,13 +29,13 @@ __all__ = ["DatasetManifest", "UniversalTrainConfig", "train_universal",
 
 @dataclass
 class DatasetManifest:
-    """An ordered list of frame pairs, file-backed or in-memory.
+    """An ordered list of frame pairs in image files.
 
-    File entries are (frame1, frame2[, flow]) paths, one pair per line,
-    whitespace separated, resolved relative to the manifest file. All
-    pairs must share one grid size; a mismatch is an error, never a
-    silent resample. Unreadable pairs are skipped with a warning; an
-    entirely unreadable manifest is an error.
+    Entries are (frame1, frame2[, flow]) paths, one pair per line,
+    whitespace separated, resolved relative to the manifest file. The
+    manifest only reads files: the attacks that take its pairs check that
+    every frame has one (C, M, N) shape. Unreadable pairs are skipped with
+    a warning; an entirely unreadable manifest is an error.
     """
 
     entries: list[tuple] = field(default_factory=list)
@@ -62,35 +62,18 @@ class DatasetManifest:
                            else (paths[0], paths[1], None))
         return DatasetManifest(entries)
 
-    @staticmethod
-    def from_pairs(pairs) -> "DatasetManifest":
-        """In-memory manifest from (Image, Image[, FlowField]) tuples."""
-        entries = [(p[0], p[1], p[2] if len(p) > 2 else None) for p in pairs]
-        return DatasetManifest(entries)
-
     def load_pairs(self) -> list[tuple[Image, Image]]:
         """The frame pairs, read in order. Ground truth is never read, so
         an unreadable flow file costs its pair nothing."""
         loaded = []
         skipped = 0
-        grid = None
         for entry in self.entries:
             try:
-                f1 = entry[0] if isinstance(entry[0], Image) else flowio.read_image(entry[0])
-                f2 = entry[1] if isinstance(entry[1], Image) else flowio.read_image(entry[1])
+                loaded.append((flowio.read_image(entry[0]),
+                               flowio.read_image(entry[1])))
             except (OSError, ValueError) as exc:
                 skipped += 1
                 warnings.warn(f"skipping unreadable pair {entry[:2]}: {exc}")
-                continue
-            grid = grid or (f1.height, f1.width)
-            for frame in (f1, f2):
-                if (frame.height, frame.width) != grid:
-                    raise ShapeError(
-                        f"pair grid {frame.height}x{frame.width} != declared "
-                        f"{grid[0]}x{grid[1]}")
-            if f1.data.shape != f2.data.shape:
-                raise ShapeError("frames of a pair differ in shape")
-            loaded.append((f1, f2))
         if not loaded:
             raise flowio.FormatError(f"no readable pairs ({skipped} skipped)")
         return loaded
@@ -117,18 +100,22 @@ class UniversalTrainConfig:
             raise ValueError("universal training requires the clipping box constraint")
 
 
-def apply_universal(p: Perturbation, frame1: Image, frame2: Image):
-    """Add the trained field(s) to a pair and clip back to valid frames."""
-    if p.shape != frame1.data.shape or p.shape != frame2.data.shape:
+def apply_universal(p: Perturbation, frame1, frame2):
+    """Add the trained field(s) to a pair of Images or arrays and clip
+    back to valid frames."""
+    i1, i2 = _as_image(frame1).data, _as_image(frame2).data
+    if p.shape != i1.shape or p.shape != i2.shape:
         raise ShapeError(f"perturbation grid {p.shape} does not match frames "
-                         f"{frame1.data.shape}")
+                         f"{i1.shape}")
     d1, d2 = p.fields()
-    return clip01(frame1.data + d1), clip01(frame2.data + d2)
+    return clip01(i1 + d1), clip01(i2 + d2)
 
 
-def train_universal(estimator: FlowEstimator, data: DatasetManifest,
+def train_universal(estimator: FlowEstimator, pairs,
                     cfg: UniversalTrainConfig) -> Perturbation:
-    """Train one perturbation over the whole dataset.
+    """Train one perturbation over a dataset of (frame1, frame2) pairs,
+    Images or arrays, every frame of one (C, M, N) shape; another shape
+    is a ShapeError.
 
     Each minibatch contributes the mean of its per-pair losses plus one
     shared penalty term on the perturbation itself (there is only one
@@ -141,25 +128,25 @@ def train_universal(estimator: FlowEstimator, data: DatasetManifest,
     steps within one batch start their searches from the last accepted
     step, so at one step per batch every search starts at the unit step.
     """
-    pairs = data.load_pairs()
+    pairs = _frame_pairs(pairs)
     atk = cfg.attack
-    shape = pairs[0][0].data.shape
+    shape = pairs[0][0].shape
     eps_hat, mu = atk.budget(shape)
     param = Parametrization(BoxConstraint.CLIPPING, atk.mode, realized=False)
     # only a negative target reads the prediction; the others get zeros
-    targets = [atk.target.resolve(estimator.estimate_flow(f1, f2).data
+    targets = [atk.target.resolve(estimator.estimate_flow(i1, i2).data
                                   if atk.target.kind == TargetKind.NEGATIVE
                                   else np.zeros((2,) + shape[1:]))
-               for f1, f2 in pairs]
+               for i1, i2 in pairs]
 
-    x = param.start(pairs[0][0].data, pairs[0][1].data)
+    x = param.start(*pairs[0])
     rng = np.random.default_rng(atk.seed)
     params = LbfgsParams(max_steps=cfg.steps_per_batch)
     n = len(pairs)
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
-            batch = [(pairs[i][0].data, pairs[i][1].data, targets[i])
+            batch = [(*pairs[i], targets[i])
                      for i in order[start:start + cfg.batch_size]]
             x, _ = lbfgs_minimize(PenalizedObjective(
                 estimator, param, batch, atk.loss, eps_hat, mu), x, params)

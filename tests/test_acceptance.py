@@ -24,8 +24,8 @@ from flowattack.io import (flow_to_color, read_flo, read_kitti_flow,
                            write_flo, write_image_png, write_kitti_flow)
 from flowattack.optim import LbfgsParams, lbfgs_minimize
 from flowattack.synthetic import make_pair, make_suite
-from flowattack.universal import (DatasetManifest, UniversalTrainConfig,
-                                  apply_universal, train_universal)
+from flowattack.universal import (UniversalTrainConfig, apply_universal,
+                                  train_universal)
 
 pytestmark = pytest.mark.slow
 
@@ -76,7 +76,7 @@ def test_criterion_1_gradient_oracle(hs):
                 err = finite_diff_check(
                     est, f1, f2,
                     lambda fl, t=target, lk=loss: loss_with_grad(lk, fl, t),
-                    h=1e-5, num_coords=64, seed=k)
+                    h=1e-5, seed=k)
                 worst = max(worst, err)
 
     # estimator x loss x box through the full attack objective; the cosine
@@ -206,7 +206,7 @@ def test_criterion_5_universal_ordering(hs, suite):
     mean_specific = float(np.mean([attack_strength(r.flow_adv, zero)
                                    for r in specific]))
 
-    data = DatasetManifest.from_pairs([(f1, f2) for f1, f2, _ in suite])
+    data = [(f1, f2) for f1, f2, _ in suite]
     joint_cfg = PcfaConfig(epsilon2=5e-3, steps=20, loss=LossKind.AEE,
                            box=BoxConstraint.CLIPPING, mode=PerturbMode.JOINT,
                            seed=12)

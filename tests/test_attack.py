@@ -695,8 +695,9 @@ class TestIfgsm:
         f1, f2, _ = small_pair
         with pytest.raises(ValueError):
             ifgsm_attack(fast_estimator, f1, f2, eps_inf=1e-3, steps=0)
-        with pytest.raises(ValueError, match="eps_inf"):
-            ifgsm_attack(fast_estimator, f1, f2, eps_inf=math.nan, steps=1)
+        for eps_inf in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="eps_inf"):
+                ifgsm_attack(fast_estimator, f1, f2, eps_inf=eps_inf, steps=1)
 
 
 def frame_bytes(frame1, frame2) -> bytes:

@@ -9,6 +9,7 @@ from flowattack import cli
 from flowattack import io as flowio
 from flowattack.cli import main
 from flowattack.core import FlowField, Perturbation, PerturbMode
+from flowattack.diffflow import builtin_estimators
 from flowattack.synthetic import make_pair
 
 
@@ -592,8 +593,33 @@ class TestUniversalAndTransfer:
         assert run(["--out", tmp_path / "uni", "universal", "--manifest",
                     manifest, "--epochs", 1]) == 2
         err = capsys.readouterr().err
-        assert err == "shape mismatch: pair grid 32x32 != declared 24x24\n"
+        assert err == ("shape mismatch: frame shapes differ: (1, 24, 24) vs "
+                       "(1, 32, 32)\n")
         assert not (tmp_path / "uni").exists()
+
+    @pytest.mark.parametrize("command", ["universal", "transfer"])
+    def test_gray_and_rgb_pairs_are_exit_2(self, tmp_path, capsys, command):
+        """A manifest mixing a gray and an RGB pair of one grid size is one
+        shape-mismatch line and no --out, for training and for transfer."""
+        lines = []
+        for k, channels in enumerate((1, 3)):
+            f1, f2, _ = make_pair(70 + k, 24, 24, channels)
+            flowio.write_image_png(tmp_path / f"c{k}_1.png", f1)
+            flowio.write_image_png(tmp_path / f"c{k}_2.png", f2)
+            lines.append(f"c{k}_1.png c{k}_2.png")
+        manifest = tmp_path / "pairs.txt"
+        manifest.write_text("\n".join(lines) + "\n")
+        pert = tmp_path / "zero.npz"
+        flowio.write_perturbation(
+            pert, Perturbation.zeros(PerturbMode.JOINT, (1, 24, 24)))
+        argv = {"universal": ["--epochs", 1],
+                "transfer": ["--estimators", "hs", "--perturbations", pert]}
+        out = tmp_path / "out"
+        assert run(["--out", out, command, "--manifest", manifest,
+                    *argv[command]]) == 2
+        assert capsys.readouterr().err == ("shape mismatch: frame shapes "
+                                           "differ: (1, 24, 24) vs (3, 24, 24)\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("keys", ["estimators = ,\nperturbations = {pert}",
                                       "estimators = hs\nperturbations = ,"])
@@ -831,3 +857,6 @@ class TestNumericSettings:
         if code:
             assert err.endswith("\n") and err.count("\n") == 1, err
             assert not out.exists()
+        if code == 3:  # a failed solve or gradient gate names its estimator
+            labels = lines.split(" = ")[1:] or list(builtin_estimators())
+            assert any(f"estimator {label!r}" in err for label in labels), err

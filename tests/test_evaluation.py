@@ -9,8 +9,7 @@ from flowattack.evaluation import (AttackReport, TraceSummary,
                                    masked_aee, patch_equivalent_epsilon,
                                    transfer_matrix)
 from flowattack.synthetic import make_suite
-from flowattack.universal import DatasetManifest, UniversalTrainConfig, \
-    train_universal
+from flowattack.universal import UniversalTrainConfig, train_universal
 
 
 class TestStrengthAndRobustness:
@@ -154,7 +153,7 @@ class TestAttackReport:
 class TestTransferMatrix:
     def test_single_entry_equals_white_box_mean(self, fast_estimator):
         suite = make_suite(3, seed=30, height=24, width=24)
-        data = DatasetManifest.from_pairs([(a, b) for a, b, _ in suite])
+        data = [(a, b) for a, b, _ in suite]
         rng = np.random.default_rng(3)
         pert = Perturbation(PerturbMode.JOINT,
                             rng.normal(0, 5e-3, suite[0][0].data.shape))
@@ -173,7 +172,7 @@ class TestTransferMatrix:
     def test_zero_perturbations_give_zero_matrix(self, fast_estimator,
                                                  pyramid_estimator):
         suite = make_suite(2, seed=31, height=24, width=24)
-        data = DatasetManifest.from_pairs([(a, b) for a, b, _ in suite])
+        data = [(a, b) for a, b, _ in suite]
         zeros = [Perturbation.zeros(PerturbMode.JOINT, suite[0][0].data.shape)]
         mat, valid = transfer_matrix([fast_estimator, pyramid_estimator],
                                      zeros, data)
@@ -182,7 +181,7 @@ class TestTransferMatrix:
 
     def test_grid_mismatch_marks_entry_invalid(self, fast_estimator):
         suite = make_suite(2, seed=32, height=24, width=24)
-        data = DatasetManifest.from_pairs([(a, b) for a, b, _ in suite])
+        data = [(a, b) for a, b, _ in suite]
         good = Perturbation.zeros(PerturbMode.JOINT, suite[0][0].data.shape)
         bad = Perturbation.zeros(PerturbMode.JOINT, (1, 8, 8))
         mat, valid = transfer_matrix([fast_estimator], [good, bad], data)
@@ -203,7 +202,7 @@ class TestTransferMatrix:
                                               pyramid_levels=2, warp=True),
                               label="pyr")
         suite = make_suite(4, seed=77, height=32, width=32)
-        data = DatasetManifest.from_pairs([(a, b) for a, b, _ in suite])
+        data = [(a, b) for a, b, _ in suite]
         perts = []
         for est in (est_a, est_b):
             perts.append(train_universal(est, data, UniversalTrainConfig(

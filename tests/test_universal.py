@@ -9,9 +9,10 @@ from flowattack import io as flowio
 from flowattack import universal
 from flowattack.attack import (BoxConstraint, LossKind, PcfaConfig, Target,
                                TargetKind, pcfa_attack)
-from flowattack.core import (FlowField, Image, PerturbMode, ShapeError,
-                             joint_l2_norm, scale_bound)
+from flowattack.core import (FlowField, Image, Perturbation, PerturbMode,
+                             ShapeError, joint_l2_norm, scale_bound)
 from flowattack.diffflow import FlowEstimator
+from flowattack.evaluation import transfer_matrix
 from flowattack.optim import INITIAL_STEP, lbfgs_minimize
 from flowattack.synthetic import make_pair, make_suite
 from flowattack.universal import (DatasetManifest, UniversalTrainConfig,
@@ -121,15 +122,23 @@ class TestManifest:
             with pytest.raises(ValueError):
                 data.load_pairs()
 
-    def test_size_mismatch_is_error(self, tmp_path):
+    def test_size_mismatch_is_error(self, tmp_path, fast_estimator):
+        """The manifest reads pairs of any size; training and the transfer
+        matrix refuse pairs of two sizes."""
         flowio.write_image_png(tmp_path / "a1.png", np.full((1, 4, 4), 0.5))
         flowio.write_image_png(tmp_path / "a2.png", np.full((1, 4, 4), 0.5))
         flowio.write_image_png(tmp_path / "b1.png", np.full((1, 6, 6), 0.5))
         flowio.write_image_png(tmp_path / "b2.png", np.full((1, 6, 6), 0.5))
         manifest = tmp_path / "pairs.txt"
         manifest.write_text("a1.png a2.png\nb1.png b2.png\n")
-        with pytest.raises(ShapeError):
-            DatasetManifest.from_file(manifest).load_pairs()
+        pairs = DatasetManifest.from_file(manifest).load_pairs()
+        message = r"frame shapes differ: \(1, 4, 4\) vs \(1, 6, 6\)"
+        with pytest.raises(ShapeError, match=message):
+            train_universal(fast_estimator, pairs,
+                            UniversalTrainConfig(attack=joint_cfg(), epochs=1))
+        with pytest.raises(ShapeError, match=message):
+            transfer_matrix([fast_estimator], [Perturbation.zeros(
+                PerturbMode.JOINT, (1, 4, 4))], pairs)
 
     def test_bad_line_rejected(self, tmp_path):
         manifest = tmp_path / "pairs.txt"
@@ -186,28 +195,36 @@ class TestTrainUniversal:
         cfg = joint_cfg()
         specific = pcfa_attack(fast_estimator, f1, f2, cfg)
 
-        data = DatasetManifest.from_pairs([(f1, f2)])
+        data = [(f1, f2)]
         pert = train_universal(fast_estimator, data, UniversalTrainConfig(
             attack=cfg, epochs=1, batch_size=1, steps_per_batch=20))
         assert np.array_equal(pert.first, specific.perturbation.first)
 
+    def test_no_pairs_is_error(self, fast_estimator):
+        with pytest.raises(ValueError, match="no frame pairs"):
+            train_universal(fast_estimator, [],
+                            UniversalTrainConfig(attack=joint_cfg(), epochs=1))
+        with pytest.raises(ValueError, match="no frame pairs"):
+            transfer_matrix([fast_estimator], [Perturbation.zeros(
+                PerturbMode.JOINT, (1, 4, 4))], [])
+
     def test_zero_budget_returns_zero_perturbation(self, fast_estimator):
         suite = make_suite(2, seed=5, height=24, width=24)
-        data = DatasetManifest.from_pairs([(a, b) for a, b, _ in suite])
+        data = [(a, b) for a, b, _ in suite]
         pert = train_universal(fast_estimator, data, UniversalTrainConfig(
             attack=joint_cfg(eps2=0.0), epochs=2, batch_size=2))
         assert joint_l2_norm(pert) <= 1e-6 * scale_bound(1.0, 24 * 24, 1)
 
     def test_norm_bound_holds(self, fast_estimator):
         suite = make_suite(3, seed=6, height=24, width=24)
-        data = DatasetManifest.from_pairs([(a, b) for a, b, _ in suite])
+        data = [(a, b) for a, b, _ in suite]
         pert = train_universal(fast_estimator, data, UniversalTrainConfig(
             attack=joint_cfg(eps2=5e-3, seed=1), epochs=4, batch_size=2))
         assert joint_l2_norm(pert) <= 1.01 * scale_bound(5e-3, 24 * 24, 1)
 
     def test_shuffle_determinism(self, fast_estimator):
         suite = make_suite(3, seed=7, height=24, width=24)
-        data = DatasetManifest.from_pairs([(a, b) for a, b, _ in suite])
+        data = [(a, b) for a, b, _ in suite]
         ucfg = UniversalTrainConfig(attack=joint_cfg(seed=9), epochs=3,
                                     batch_size=2)
         p1 = train_universal(fast_estimator, data, ucfg)
@@ -216,7 +233,7 @@ class TestTrainUniversal:
 
     def test_disjoint_mode_produces_two_fields(self, fast_estimator):
         suite = make_suite(2, seed=8, height=24, width=24)
-        data = DatasetManifest.from_pairs([(a, b) for a, b, _ in suite])
+        data = [(a, b) for a, b, _ in suite]
         cfg = PcfaConfig(epsilon2=5e-3, steps=20, loss=LossKind.AEE,
                          box=BoxConstraint.CLIPPING, mode=PerturbMode.DISJOINT,
                          seed=2)
@@ -245,7 +262,7 @@ class TestTrainUniversal:
         monkeypatch.setattr(universal, "lbfgs_minimize",
                             logged(universal.lbfgs_minimize, "batch"))
         suite = make_suite(3, seed=7, height=24, width=24)
-        data = DatasetManifest.from_pairs([(a, b) for a, b, _ in suite])
+        data = [(a, b) for a, b, _ in suite]
         target = (Target.custom_flow(FlowField(np.ones((2, 24, 24))))
                   if kind == "custom" else Target(TargetKind(kind)))
         cfg = PcfaConfig(epsilon2=5e-3, loss=LossKind.MSE, target=target,
@@ -275,7 +292,7 @@ class TestTrainUniversal:
 
         monkeypatch.setattr(universal, "lbfgs_minimize", recording)
         suite = make_suite(3, seed=7, height=24, width=24)
-        data = DatasetManifest.from_pairs([(a, b) for a, b, _ in suite])
+        data = [(a, b) for a, b, _ in suite]
         train_universal(fast_estimator, data, UniversalTrainConfig(
             attack=joint_cfg(seed=9), epochs=2, batch_size=2,
             steps_per_batch=steps))
