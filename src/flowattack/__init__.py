@@ -6,9 +6,9 @@ strength/robustness metrics, flow file formats, and built-in unrolled
 variational estimators with exact input gradients.
 """
 
-from .attack import (AttackResult, BoxConstraint, LossKind, PcfaConfig,
-                     Target, TargetKind, apply_cov, cov_init, default_mu,
-                     ifgsm_attack, loss_aee, loss_cs, loss_mse,
+from .attack import (AttackResult, BoxConstraint, IfgsmConfig, LossKind,
+                     PcfaConfig, Target, TargetKind, apply_cov, cov_init,
+                     default_mu, ifgsm_attack, loss_aee, loss_cs, loss_mse,
                      loss_with_grad, pcfa_attack, penalty_value_grad)
 from .core import (FlowField, Image, Perturbation, PerturbMode, ShapeError,
                    clip01, joint_l2_norm, scale_bound)

@@ -26,8 +26,8 @@ from .optim import LbfgsParams, OptimTrace, lbfgs_minimize
 
 __all__ = [
     "LossKind", "BoxConstraint", "TargetKind", "Target", "PcfaConfig",
-    "AttackResult", "loss_aee", "loss_mse", "loss_cs", "loss_with_grad",
-    "penalty_value_grad", "apply_cov", "cov_init", "default_mu",
+    "IfgsmConfig", "AttackResult", "loss_aee", "loss_mse", "loss_cs",
+    "loss_with_grad", "penalty_value_grad", "apply_cov", "cov_init", "default_mu",
     "Parametrization", "PenalizedObjective", "pcfa_attack", "ifgsm_attack",
 ]
 
@@ -89,12 +89,21 @@ class Target:
         return self.custom.data
 
 
+def _check_budget(name: str, budget: float, steps: int):
+    """What both attack configs require: a finite non-negative budget,
+    named `name` in the error, and at least one step."""
+    if not (0 <= budget < math.inf):  # NaN included
+        raise ValueError(f"{name} must be finite and non-negative, got {budget}")
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+
+
 @dataclass(frozen=True)
 class PcfaConfig:
     """All attack hyperparameters. mu=None picks the default pairing for
     the budget; seed is echoed into reports and drives dataset shuffling."""
 
-    epsilon2: float
+    epsilon2: float = 5e-3
     mu: float | None = None
     steps: int = 20
     loss: LossKind = LossKind.AEE
@@ -104,13 +113,9 @@ class PcfaConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (0 <= self.epsilon2 < math.inf):  # NaN included
-            raise ValueError(f"epsilon2 must be finite and non-negative, "
-                             f"got {self.epsilon2}")
+        _check_budget("epsilon2", self.epsilon2, self.steps)
         if self.mu is not None and not (0 < self.mu < math.inf):
             raise ValueError(f"mu must be finite and positive, got {self.mu}")
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
         if self.box == BoxConstraint.COV and self.mode == PerturbMode.JOINT:
             raise ValueError("the change-of-variables box constraint only "
                              "supports disjoint perturbations")
@@ -125,6 +130,24 @@ class PcfaConfig:
         mu = self.mu if self.mu is not None else default_mu(
             self.loss, self.target.kind, self.epsilon2)
         return eps_hat, mu
+
+
+@dataclass(frozen=True)
+class IfgsmConfig:
+    """The signed-gradient baseline's settings: `steps` fixed steps of
+    size eps_inf/steps toward an L-infinity budget eps_inf. The baseline
+    clips the frames after every step and perturbs each frame on its own;
+    `box` and `mode` say so and are not settings."""
+
+    eps_inf: float = 5e-3
+    steps: int = 20
+    loss: LossKind = LossKind.AEE
+    target: Target = Target(TargetKind.ZERO)
+    box = BoxConstraint.CLIPPING
+    mode = PerturbMode.DISJOINT
+
+    def __post_init__(self):
+        _check_budget("eps_inf", self.eps_inf, self.steps)
 
 
 @dataclass
@@ -678,30 +701,25 @@ def pcfa_attack(estimator: FlowEstimator, frame1, frame2,
                           eps_hat, mu)
 
 
-def ifgsm_attack(estimator: FlowEstimator, frame1, frame2, eps_inf: float,
-                 steps: int = 10, loss: LossKind = LossKind.AEE,
-                 target: Target = Target(TargetKind.ZERO)) -> AttackResult:
+def ifgsm_attack(estimator: FlowEstimator, frame1, frame2,
+                 cfg: IfgsmConfig) -> AttackResult:
     """Iterative signed-gradient baseline with an L-infinity budget.
 
-    Takes `steps` fixed steps of size eps_inf/steps along -sign(grad),
+    Takes `cfg.steps` fixed steps of size eps_inf/steps along -sign(grad),
     one perturbation per frame, clipping the frames after every step;
     |delta| <= eps_inf holds afterwards only up to the rounding of
     clip(i + d) - i. The achieved joint L2
     norm is recorded so runs can be compared against L2-budgeted attacks.
     Step 0 takes its forward from the setup solve.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if not (0 <= eps_inf < math.inf):  # NaN included
-        raise ValueError(f"eps_inf must be finite and non-negative, got {eps_inf}")
     solves = _SolveCache()
-    i1, i2, flow_init, tgt = _setup_pair(estimator, frame1, frame2, target,
-                                         solves)
-    grad_fn = _LOSS_GRADS[LossKind(loss)]
-    step = eps_inf / steps
-    trace = OptimTrace(grad_evals=steps)
+    i1, i2, flow_init, tgt = _setup_pair(estimator, frame1, frame2,
+                                         cfg.target, solves)
+    grad_fn = _LOSS_GRADS[cfg.loss]
+    step = cfg.eps_inf / cfg.steps
+    trace = OptimTrace(grad_evals=cfg.steps)
     p1, p2 = i1, i2
-    for n in range(steps):
+    for n in range(cfg.steps):
         flows, vjp = solves.solve(estimator, p1[None], p2[None])
         lval, gflow = grad_fn(flows[0], tgt)
         g1, g2 = vjp(gflow[None])
@@ -714,7 +732,7 @@ def ifgsm_attack(estimator: FlowEstimator, frame1, frame2, eps_inf: float,
         trace.values.append(lval)
         trace.step_lengths.append(step)
         del vjp  # the cache's is then the only reference to the tape
-    return _attack_result(solves, estimator, PerturbMode.DISJOINT, p1 - i1,
-                          p2 - i2, p1, p2, flow_init, tgt, trace,
+    return _attack_result(solves, estimator, cfg.mode, p1 - i1, p2 - i2,
+                          p1, p2, flow_init, tgt, trace,
                           (float(min(p1.min(), p2.min())),
                            float(max(p1.max(), p2.max()))))

@@ -1,9 +1,14 @@
 """Command-line front end: attack | universal | transfer | viz | checkgrad.
 
 Configuration comes from a flat INI-style file (sections in brackets,
-key = value lines) overridden by command-line flags. Each run reads the
-sections and keys `_READS` lists for it; any other section or key, from
-the file or from a flag, is a usage error rather than ignored. Every run
+key = value lines) overridden by command-line flags. A run's settings are
+the fields of the configs it builds: `EstimatorConfig`, the attack method's
+`PcfaConfig` or `IfgsmConfig` (whose `eps_inf` is the `eps2` key), and
+`UniversalTrainConfig` for universal training. `_table` derives each
+run's sections and keys from those dataclasses; a value parses as its
+field's type, and a run echoes every field it used, defaults included, in
+a form that `--config` reads back. Any other section or key, from the
+file or from a flag, is a usage error rather than ignored. Every run
 writes the configuration it used, and nothing else, next to its results;
 `viz` and `checkgrad` read no configuration file. Exit codes: 0 success,
 1 usage, 2 I/O or inputs on mismatched grids, 3 numeric failure (an
@@ -23,8 +28,9 @@ from pathlib import Path
 import numpy as np
 
 from . import io as flowio
-from .attack import (AttackResult, BoxConstraint, LossKind, PcfaConfig, Target,
-                     TargetKind, ifgsm_attack, loss_with_grad, pcfa_attack)
+from .attack import (AttackResult, BoxConstraint, IfgsmConfig, LossKind,
+                     PcfaConfig, Target, TargetKind, ifgsm_attack,
+                     loss_with_grad, pcfa_attack)
 from .core import PerturbMode, ShapeError, joint_l2_norm, joint_linf_norm
 from .diffflow import EstimatorConfig, FlowEstimator, builtin_estimators, \
     finite_diff_check
@@ -53,28 +59,66 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-# What each run reads: section -> keys. `attack` is PCFA and `ifgsm` is
-# `attack` with method = ifgsm. A flag's argparse dest is the key it sets.
-# `transfer` also reads these solver keys from an [estimator.<label>]
-# section for each label it names.
-_SOLVER = {"alpha", "iterations", "levels", "warp"}
-_READS = {
-    "attack": {"estimator": {"label", *_SOLVER},
-               "attack": {"method", "eps2", "mu", "loss", "target",
-                          "target_file", "box", "mode", "steps"},
-               "dataset": {"manifest"}},
-    "ifgsm": {"estimator": {"label", *_SOLVER},
-              "attack": {"method", "eps2", "loss", "target", "target_file",
-                         "steps"},
-              "dataset": {"manifest"}},
-    "universal": {"estimator": {"label", *_SOLVER},
-                  "attack": {"eps2", "mu", "loss", "target", "target_file",
-                             "box", "mode"},
-                  "universal": {"epochs", "batch_size", "steps_per_batch"},
-                  "dataset": {"manifest"}},
-    "transfer": {"transfer": {"estimators", "perturbations"},
-                 "dataset": {"manifest"}},
-}
+# The settings keys of the config fields whose key is not the field's
+# name. A field's keys are read together and the echo writes its value
+# under the first; a field with no key is not a setting: the seed comes
+# from --seed and a universal schedule's attack from [attack].
+_KEYS = {"epsilon2": ("eps2",), "eps_inf": ("eps2",),
+         "pyramid_levels": ("levels",), "target": ("target", "target_file"),
+         "seed": (), "attack": ()}
+# The attack config of each [attack] method.
+_METHODS = {"pcfa": PcfaConfig, "ifgsm": IfgsmConfig}
+
+
+def _configs(run: str) -> dict[str, tuple[type, tuple[str, ...]]]:
+    """The config class each section of `run` builds, with the fields that
+    section does not set. `attack` is PCFA and `ifgsm` is `attack` with
+    method = ifgsm; `universal`'s steps are [universal] steps_per_batch."""
+    if run == "transfer":
+        return {}
+    if run == "universal":
+        return {"estimator": (EstimatorConfig, ()),
+                "attack": (PcfaConfig, ("steps",)),
+                "universal": (UniversalTrainConfig, ())}
+    return {"estimator": (EstimatorConfig, ()),
+            "attack": (IfgsmConfig if run == "ifgsm" else PcfaConfig, ())}
+
+
+_HINTS = {}  # the field types of each config class, evaluated once
+
+
+def _fields(cls, skip=()) -> list[tuple[str, tuple[str, ...], object]]:
+    """(name, settings keys, type) of each field of the config class `cls`
+    that a key sets, but those named in `skip`."""
+    from dataclasses import fields  # only the configured commands need these
+    from typing import get_type_hints
+    if cls not in _HINTS:
+        _HINTS[cls] = get_type_hints(cls)
+    return [(f.name, _KEYS.get(f.name, (f.name,)), _HINTS[cls][f.name])
+            for f in fields(cls)
+            if f.name not in skip and _KEYS.get(f.name) != ()]
+
+
+def _keys(cls, skip=()) -> dict[str, object]:
+    """{settings key: the type of the field of `cls` it sets}."""
+    return {key: hint for _, keys, hint in _fields(cls, skip) for key in keys}
+
+
+def _table(run: str) -> dict[str, dict[str, object]]:
+    """What `run` reads: section -> {key: the type of the config field it
+    sets, or None for a key that names inputs or picks a config (the
+    estimator label, the attack method)}. A flag's argparse dest is the
+    key it sets. `transfer` also reads the solver keys from an
+    [estimator.<label>] section for each label it names."""
+    table = {section: _keys(*config) for section, config in _configs(run).items()}
+    if run == "transfer":
+        table["transfer"] = {"estimators": None, "perturbations": None}
+    else:
+        table["estimator"]["label"] = None
+    if run in ("attack", "ifgsm"):
+        table["attack"]["method"] = None
+    table["dataset"] = {"manifest": None}
+    return table
 
 
 def _load_config(path) -> dict[str, dict[str, str]]:
@@ -90,7 +134,16 @@ def _load_config(path) -> dict[str, dict[str, str]]:
         raise UsageError(f"config file {path}: {message}") from None
 
 
-def _echo_config(out_dir: Path, resolved: dict[str, dict[str, str]]):
+def _echo_config(out_dir: Path, config: dict, run: str, **built):
+    """Write `config` as config_echo.ini, with the value `run` used of
+    every field of its `built` configs, by section, defaults included:
+    under the field's first key, while a further key (target_file) stays
+    as given."""
+    resolved = {section: dict(values) for section, values in config.items()}
+    for section, (cls, skip) in _configs(run).items():
+        for name, keys, _ in _fields(cls, skip):
+            resolved.setdefault(section, {})[keys[0]] = \
+                _format(getattr(built[section], name))
     lines = []
     for section in sorted(resolved):
         lines.append(f"[{section}]")
@@ -101,27 +154,21 @@ def _echo_config(out_dir: Path, resolved: dict[str, dict[str, str]]):
                               "\n".join(lines).encode())
 
 
-def _build_estimator(section: dict[str, str]) -> FlowEstimator:
-    """A solver labelled `label` that starts from the configuration of the
-    built-in estimator of that label (of `hs` for a new label) and applies
-    the section's solver keys; with no solver key it equals the built-in
-    one. A new label that sets no solver key is a usage error."""
-    label = section.get("label", "hs")
-    builtin = builtin_estimators()
-    if label not in builtin and set(section) <= {"label"}:
-        raise UsageError(f"unknown estimator {label!r}: not built in "
-                         f"({', '.join(builtin)}) and sets no solver key")
-    base = builtin.get(label, builtin["hs"]).config
-    try:
-        cfg = EstimatorConfig(
-            alpha=float(section.get("alpha", base.alpha)),
-            iterations=int(section.get("iterations", base.iterations)),
-            pyramid_levels=int(section.get("levels", base.pyramid_levels)),
-            warp=_parse_bool(section.get("warp", str(base.warp))),
-        )
-    except ValueError as exc:
-        raise UsageError(f"estimator {label!r}: {exc}") from None
-    return FlowEstimator(cfg, label=label)
+def _parse(hint, text: str):
+    """A settings value as the type of its config field; `auto` reads as
+    None where the field may be None (the default penalty weight)."""
+    if hint is bool:
+        return _parse_bool(text)
+    if hint == float | None:
+        return None if text == "auto" else float(text)
+    return hint(text)  # float, int or an enum
+
+
+def _format(value) -> str:
+    """A config field's value as `_parse` reads it back."""
+    value = getattr(value, "kind", value)  # a Target by its kind
+    text = str(getattr(value, "value", value))  # an enum by its value
+    return {"None": "auto", "True": "true", "False": "false"}.get(text, text)
 
 
 def _parse_bool(text: str) -> bool:
@@ -130,64 +177,62 @@ def _parse_bool(text: str) -> bool:
         return True
     if low in ("0", "false", "no", "off"):
         return False
-    raise UsageError(f"not a boolean: {text!r}")
+    raise ValueError(f"not a boolean: {text!r}")
 
 
-def _build_target(section: dict[str, str]) -> Target:
-    kind = section.get("target", "zero")
-    if kind != "custom" and "target_file" in section:
-        raise UsageError("target_file is read only with target = custom")
-    if kind == "custom":
-        path = section.get("target_file")
-        if not path:
-            raise UsageError("target = custom requires target_file")
-        flow, _ = flowio.read_flow_any(path)
-        return Target.custom_flow(flow)
+def _read_target(given: dict[str, str]) -> Target:
+    """The target that [attack] target and target_file name; only a custom
+    target reads a flow file, and it must."""
+    path = given.get("target_file")
+    if given.get("target") != TargetKind.CUSTOM:
+        if path is not None:
+            raise UsageError("target_file is read only with target = custom")
+        return Target(TargetKind(given["target"]))
+    if not path:
+        raise UsageError("target = custom requires target_file")
+    return Target.custom_flow(flowio.read_flow_any(path)[0])
+
+
+def _build(cls, name: str, config: dict, what: str = "", **fixed):
+    """`cls` from `fixed` and from the keys of section [name] that set its
+    fields; every other field keeps its default. A value that does not
+    parse is a usage error that names its key, and so is one the config
+    refuses, after `what`."""
+    section = config.get(name, {})
+    for field, keys, hint in _fields(cls):
+        given = {key: section[key] for key in keys if key in section}
+        if not given:
+            continue
+        try:
+            fixed[field] = (_read_target(given) if hint is Target
+                            else _parse(hint, *given.values()))
+        except flowio.FormatError:
+            raise  # a corrupt target file is an i/o error, not a usage error
+        except ValueError as exc:
+            raise UsageError(f"[{name}] {next(iter(given))}: {exc}") from None
     try:
-        return Target(TargetKind(kind))
-    except ValueError:
-        raise UsageError(f"unknown target {kind!r}") from None
-
-
-def _build_attack_config(section: dict[str, str], seed: int) -> PcfaConfig:
-    try:
-        return PcfaConfig(
-            epsilon2=float(section.get("eps2", 5e-3)),
-            mu=float(section["mu"]) if "mu" in section else None,
-            steps=int(section.get("steps", 20)),
-            loss=LossKind(section.get("loss", "aee")),
-            target=_build_target(section),
-            box=BoxConstraint(section.get("box", "clipping")),
-            mode=PerturbMode(section.get("mode", "disjoint")),
-            seed=seed,
-        )
-    except flowio.FormatError:
-        raise  # a corrupt target file is an i/o error, not a usage error
+        return cls(**fixed)
     except ValueError as exc:
-        raise UsageError(str(exc)) from None
+        raise UsageError(f"{what}{exc}") from None
 
 
-def _resolved_config(config: dict, run: str, estimator: FlowEstimator,
-                     cfg: PcfaConfig, **attack_keys: str) -> dict[str, dict[str, str]]:
-    """`config` with the values the run actually uses, defaults included,
-    in its [attack] and [estimator] sections; [attack] keeps the keys `run`
-    reads."""
-    resolved = dict(config)
-    used = {
-        **config.get("attack", {}),  # target_file, if given, as given
-        "eps2": repr(cfg.epsilon2),
-        "mu": "auto" if cfg.mu is None else repr(cfg.mu),
-        "loss": cfg.loss.value, "target": cfg.target.kind.value,
-        "box": cfg.box.value, "mode": cfg.mode.value, **attack_keys,
-    }
-    resolved["attack"] = {key: value for key, value in used.items()
-                          if key in _READS[run]["attack"]}
-    resolved["estimator"] = {"label": estimator.label,
-                             "alpha": repr(estimator.config.alpha),
-                             "iterations": str(estimator.config.iterations),
-                             "levels": str(estimator.config.pyramid_levels),
-                             "warp": str(estimator.config.warp).lower()}
-    return resolved
+def _build_estimator(config: dict, label: str | None = None) -> FlowEstimator:
+    """A solver labelled `label` that starts from the configuration of the
+    built-in estimator of that label (of `hs` for a new label) and applies
+    the solver keys of section [estimator.<label>]; with no `label`, of
+    [estimator], whose `label` key names it (hs, set in `config` when not
+    given, so the echo holds it). With no solver key it equals the
+    built-in one. A new label that sets no solver key is a usage error."""
+    name = "estimator" if label is None else f"estimator.{label}"
+    label = label or config.setdefault(name, {}).setdefault("label", "hs")
+    builtin = builtin_estimators()
+    if label not in builtin and set(config.get(name, {})) <= {"label"}:
+        raise UsageError(f"unknown estimator {label!r}: not built in "
+                         f"({', '.join(builtin)}) and sets no solver key")
+    base = builtin.get(label, builtin["hs"]).config
+    return FlowEstimator(_build(EstimatorConfig, name, config,
+                                f"estimator {label!r}: ", **vars(base)),
+                         label=label)
 
 
 def _settings(args) -> tuple[str, dict[str, dict[str, str]]]:
@@ -195,7 +240,7 @@ def _settings(args) -> tuple[str, dict[str, dict[str, str]]]:
     any, with the flags merged in key by key (an empty flag value overrides
     nothing). A section or key the run does not read is a usage error."""
     config = _load_config(args.config) if args.config else {}
-    for section, keys in _READS[args.command].items():
+    for section, keys in _table(args.command).items():
         for key in keys:
             value = getattr(args, key, None)
             if value not in (None, ""):
@@ -204,9 +249,9 @@ def _settings(args) -> tuple[str, dict[str, dict[str, str]]]:
     run = args.command
     if run == "attack" and config.get("attack", {}).get("method") == "ifgsm":
         run = "ifgsm"
-    reads = dict(_READS[run])
+    reads = _table(run)
     if run == "transfer":
-        reads.update((f"estimator.{label}", _SOLVER)
+        reads.update((f"estimator.{label}", _keys(EstimatorConfig))
                      for label in _transfer_labels(config))
     for section, values in config.items():
         unread = [key for key in values if key not in reads.get(section, ())]
@@ -238,29 +283,6 @@ def _split(text: str) -> list[str]:
     return [s.strip() for s in text.split(",") if s.strip()]
 
 
-def _report_from_result(result: AttackResult, estimator_label: str,
-                        cfg: PcfaConfig, runtime_ms: float,
-                        deterministic: bool, initial_quality=None) -> AttackReport:
-    return AttackReport(
-        estimator=estimator_label,
-        eps2=cfg.epsilon2,
-        mu=result.mu,
-        loss=cfg.loss.value,
-        target=cfg.target.kind.value,
-        box=cfg.box.value,
-        mode=cfg.mode.value,
-        strength=attack_strength(result.flow_adv, result.target),
-        robustness=adversarial_robustness(result.flow_adv, result.flow_init),
-        l2=result.l2_norm,
-        linf=result.linf_norm,
-        steps=cfg.steps,
-        seed=cfg.seed,
-        runtime_ms=0.0 if deterministic else runtime_ms,
-        initial_quality=initial_quality,
-        trace=TraceSummary.from_trace(result.trace),
-    )
-
-
 def _write_delta_images(out_dir: Path, stem: str, pert) -> list[Path]:
     """`<stem>_delta<k>.png`: one normalized image per perturbation."""
     paths = []
@@ -285,18 +307,15 @@ def _write_pair_artifacts(out_dir: Path, stem: str, result: AttackResult):
 
 
 def _attack_one(payload):
-    (estimator, cfg, method, entry, stem, out_dir, deterministic) = payload
+    (estimator, cfg, entry, stem, out_dir, seed, deterministic) = payload
     frame1 = entry[0] if not isinstance(entry[0], str) else flowio.read_image(entry[0])
     frame2 = entry[1] if not isinstance(entry[1], str) else flowio.read_image(entry[1])
     gt = entry[2]
     if isinstance(gt, str):
         gt = flowio.read_flow_any(gt)
     start = time.perf_counter()
-    if method == "ifgsm":
-        result = ifgsm_attack(estimator, frame1, frame2, eps_inf=cfg.epsilon2,
-                              steps=cfg.steps, loss=cfg.loss, target=cfg.target)
-    else:
-        result = pcfa_attack(estimator, frame1, frame2, cfg)
+    attack = ifgsm_attack if isinstance(cfg, IfgsmConfig) else pcfa_attack
+    result = attack(estimator, frame1, frame2, cfg)
     runtime_ms = 1000.0 * (time.perf_counter() - start)
     initial_quality = None
     if gt is not None:
@@ -305,20 +324,35 @@ def _attack_one(payload):
             initial_quality = masked_aee(result.flow_init, gt_flow, gt_mask)
         else:
             initial_quality = attack_strength(result.flow_init, gt_flow)
-    report = _report_from_result(result, estimator.label, cfg, runtime_ms,
-                                 deterministic, initial_quality)
     _write_pair_artifacts(Path(out_dir), stem, result)
-    return report.to_json_line()
+    return AttackReport(
+        estimator=estimator.label,
+        eps2=cfg.eps_inf if isinstance(cfg, IfgsmConfig) else cfg.epsilon2,
+        mu=result.mu,
+        loss=cfg.loss.value,
+        target=cfg.target.kind.value,
+        box=cfg.box.value,
+        mode=cfg.mode.value,
+        strength=attack_strength(result.flow_adv, result.target),
+        robustness=adversarial_robustness(result.flow_adv, result.flow_init),
+        l2=result.l2_norm,
+        linf=result.linf_norm,
+        steps=cfg.steps,
+        seed=seed,
+        runtime_ms=0.0 if deterministic else runtime_ms,
+        initial_quality=initial_quality,
+        trace=TraceSummary.from_trace(result.trace),
+    ).to_json_line()
 
 
 def cmd_attack(args) -> int:
     run, config = _settings(args)
-    estimator = _build_estimator(config.get("estimator", {}))
-    atk_section = config.get("attack", {})
-    method = atk_section.get("method", "pcfa")
-    if method not in ("pcfa", "ifgsm"):
+    estimator = _build_estimator(config)
+    method = config.setdefault("attack", {}).setdefault("method", "pcfa")  # echoed
+    if method not in _METHODS:
         raise UsageError(f"unknown attack method {method!r}")
-    cfg = _build_attack_config(atk_section, args.seed)
+    cfg = _build(_METHODS[method], "attack", config,
+                 **({"seed": args.seed} if method == "pcfa" else {}))
 
     manifest = config.get("dataset", {}).get("manifest")
     if args.frames and manifest:
@@ -337,8 +371,8 @@ def cmd_attack(args) -> int:
                 raise OSError(f"input file not found: {p}")
 
     out_dir = Path(args.out)
-    payloads = [(estimator, cfg, method, entry, f"pair{idx:03d}", str(out_dir),
-                 args.deterministic)
+    payloads = [(estimator, cfg, entry, f"pair{idx:03d}", str(out_dir),
+                 args.seed, args.deterministic)
                 for idx, entry in enumerate(entries)]
     workers = min(args.jobs, len(payloads))
     if workers > 1:
@@ -348,8 +382,7 @@ def cmd_attack(args) -> int:
         lines = [_attack_one(p) for p in payloads]
     flowio.atomic_write_bytes(out_dir / "report.jsonl",
                               ("\n".join(lines) + "\n").encode())
-    _echo_config(out_dir, _resolved_config(config, run, estimator, cfg,
-                                           method=method, steps=str(cfg.steps)))
+    _echo_config(out_dir, config, run, estimator=estimator.config, attack=cfg)
     for line in lines:
         print(line)
     return 0
@@ -357,13 +390,9 @@ def cmd_attack(args) -> int:
 
 def cmd_universal(args) -> int:
     run, config = _settings(args)
-    estimator = _build_estimator(config.get("estimator", {}))
-    cfg = _build_attack_config(config.get("attack", {}), args.seed)
-    try:
-        ucfg = UniversalTrainConfig(attack=cfg, **{
-            k: int(v) for k, v in config.get("universal", {}).items()})
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    estimator = _build_estimator(config)
+    cfg = _build(PcfaConfig, "attack", config, seed=args.seed)
+    ucfg = _build(UniversalTrainConfig, "universal", config, attack=cfg)
     manifest = _read_manifest(config, "universal training")
 
     start = time.perf_counter()
@@ -387,23 +416,25 @@ def cmd_universal(args) -> int:
     }
     line = json.dumps(summary, sort_keys=False, separators=(",", ":"))
     flowio.atomic_write_bytes(out_dir / "summary.json", (line + "\n").encode())
-    resolved = _resolved_config(config, run, estimator, cfg)
-    resolved["universal"] = {k: str(getattr(ucfg, k))
-                             for k in _READS[run]["universal"]}
-    _echo_config(out_dir, resolved)
+    _echo_config(out_dir, config, run, estimator=estimator.config, attack=cfg,
+                 universal=ucfg)
     print(line)
     return 0
 
 
 def cmd_transfer(args) -> int:
-    _, config = _settings(args)
-    estimators = [_build_estimator({**config.get(f"estimator.{label}", {}),
-                                    "label": label})
+    run, config = _settings(args)
+    estimators = [_build_estimator(config, label)
                   for label in _transfer_labels(config)]
     pert_paths = _split(config.get("transfer", {}).get("perturbations", ""))
     if not (estimators and pert_paths):
         raise UsageError("transfer needs at least one estimator and one "
                          "perturbation file")
+    col_names = [Path(p).stem for p in pert_paths]  # the matrix's columns
+    for name in col_names:
+        if col_names.count(name) > 1:
+            raise UsageError(f"perturbation files share the stem {name!r}, "
+                             "which names their column; give distinct stems")
     perturbations = [flowio.read_perturbation(p) for p in pert_paths]
     manifest = _read_manifest(config, "transfer")
 
@@ -411,7 +442,6 @@ def cmd_transfer(args) -> int:
                                     manifest.load_pairs())
     out_dir = Path(args.out)
 
-    col_names = [Path(p).stem for p in pert_paths]
     widths = [max(len(c), 10) for c in col_names]
     head = " ".join(["estimator".ljust(12)] + [c.rjust(w) for c, w in
                                                zip(col_names, widths)])
@@ -433,7 +463,7 @@ def cmd_transfer(args) -> int:
                               ("\n".join(rows) + "\n").encode())
     flowio.atomic_write_bytes(out_dir / "transfer.jsonl",
                               ("\n".join(json_rows) + "\n").encode())
-    _echo_config(out_dir, config)
+    _echo_config(out_dir, config, run)
     print("\n".join(rows))
     return 0
 
@@ -557,7 +587,7 @@ def main(argv=None) -> int:
             raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
         if args.seed < 0:
             raise UsageError(f"--seed must be >= 0, got {args.seed}")
-        if args.config and args.command not in _READS:
+        if args.config and args.command in ("viz", "checkgrad"):
             raise UsageError(f"{args.command} reads no configuration file")
         return args.func(args)
     except UsageError as exc:

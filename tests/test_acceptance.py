@@ -10,10 +10,11 @@ import time
 import numpy as np
 import pytest
 
-from flowattack.attack import (BoxConstraint, LossKind, Parametrization,
-                               PcfaConfig, PenalizedObjective, Target,
-                               TargetKind, ifgsm_attack, loss_aee, loss_cs,
-                               loss_mse, loss_with_grad, pcfa_attack,
+from flowattack.attack import (BoxConstraint, IfgsmConfig, LossKind,
+                               Parametrization, PcfaConfig,
+                               PenalizedObjective, Target, TargetKind,
+                               ifgsm_attack, loss_aee, loss_cs, loss_mse,
+                               loss_with_grad, pcfa_attack,
                                penalty_value_grad)
 from flowattack.cli import main as cli_main
 from flowattack.core import (FlowField, PerturbMode, joint_l2_norm,
@@ -170,8 +171,8 @@ def test_criterion_3_budget_sweep_and_baseline(hs, suite, sweep):
     wins = 0
     denom = scale_bound(1.0, 64 * 64, 1)
     for f1, f2, _ in suite:
-        base = ifgsm_attack(hs, f1, f2, eps_inf=5e-3, steps=10,
-                            loss=LossKind.AEE, target=Target.zero())
+        base = ifgsm_attack(hs, f1, f2, IfgsmConfig(
+            eps_inf=5e-3, steps=10, loss=LossKind.AEE, target=Target.zero()))
         matched_eps2 = base.l2_norm / denom
         cfg = PcfaConfig(epsilon2=matched_eps2, steps=20, loss=LossKind.AEE,
                          box=BoxConstraint.CLIPPING, mode=PerturbMode.DISJOINT)

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowattack.attack import (GROUP_PIXELS, BoxConstraint, LossKind,
-                               Parametrization, PcfaConfig,
+from flowattack.attack import (GROUP_PIXELS, BoxConstraint, IfgsmConfig,
+                               LossKind, Parametrization, PcfaConfig,
                                PenalizedObjective, Target, TargetKind,
                                _loss_floor, _pair_groups, apply_cov,
                                cov_init, default_mu,
@@ -663,18 +663,20 @@ class TestGroupedObjective:
 class TestIfgsm:
     def test_linf_bound_exact(self, fast_estimator, small_pair):
         f1, f2, _ = small_pair
-        result = ifgsm_attack(fast_estimator, f1, f2, eps_inf=5e-3, steps=10)
+        result = ifgsm_attack(fast_estimator, f1, f2,
+                              IfgsmConfig(eps_inf=5e-3, steps=10))
         assert result.linf_norm <= 5e-3 + 1e-15
 
     def test_zero_gradient_leaves_delta(self, fast_estimator):
         img = np.full((1, 8, 8), 0.5)
-        result = ifgsm_attack(fast_estimator, img, img.copy(), eps_inf=1e-2,
-                              steps=4)
+        result = ifgsm_attack(fast_estimator, img, img.copy(),
+                              IfgsmConfig(eps_inf=1e-2, steps=4))
         assert result.l2_norm == 0.0
 
     def test_tracks_l2_and_reduces_loss(self, fast_estimator, small_pair):
         f1, f2, _ = small_pair
-        result = ifgsm_attack(fast_estimator, f1, f2, eps_inf=5e-3, steps=10)
+        result = ifgsm_attack(fast_estimator, f1, f2,
+                              IfgsmConfig(eps_inf=5e-3, steps=10))
         zero = np.zeros_like(result.flow_init.data)
         assert result.l2_norm > 0.0
         assert (attack_strength(result.flow_adv, zero)
@@ -682,22 +684,26 @@ class TestIfgsm:
 
     def test_trace_counts_gradient_steps(self, fast_estimator, small_pair):
         f1, f2, _ = small_pair
-        trace = ifgsm_attack(fast_estimator, f1, f2, eps_inf=5e-3, steps=3).trace
+        trace = ifgsm_attack(fast_estimator, f1, f2,
+                             IfgsmConfig(eps_inf=5e-3, steps=3)).trace
         assert (trace.value_evals, trace.grad_evals) == (0, 3)
         assert trace.stop_reason == "max_steps"
 
     def test_trace_records_no_backtracks(self, fast_estimator, small_pair):
         f1, f2, _ = small_pair
-        trace = ifgsm_attack(fast_estimator, f1, f2, eps_inf=5e-3, steps=3).trace
+        trace = ifgsm_attack(fast_estimator, f1, f2,
+                             IfgsmConfig(eps_inf=5e-3, steps=3)).trace
         assert trace.backtracks == []
 
-    def test_step_validation(self, fast_estimator, small_pair):
-        f1, f2, _ = small_pair
-        with pytest.raises(ValueError):
-            ifgsm_attack(fast_estimator, f1, f2, eps_inf=1e-3, steps=0)
-        for eps_inf in (math.nan, math.inf):
+    def test_step_validation(self):
+        with pytest.raises(ValueError, match="steps"):
+            IfgsmConfig(eps_inf=1e-3, steps=0)
+        for eps_inf in (math.nan, math.inf, -1e-3):
             with pytest.raises(ValueError, match="eps_inf"):
-                ifgsm_attack(fast_estimator, f1, f2, eps_inf=eps_inf, steps=1)
+                IfgsmConfig(eps_inf=eps_inf, steps=1)
+        # an L-infinity budget takes no penalty weight, so one that has no
+        # finite default mu is valid
+        IfgsmConfig(eps_inf=1e-300, steps=1)
 
 
 def frame_bytes(frame1, frame2) -> bytes:
@@ -733,7 +739,8 @@ class TestOneSolvePerFrameStack:
     def test_ifgsm_makes_steps_plus_one_forwards(self, fast_estimator,
                                                  small_pair, forwards, steps):
         f1, f2, _ = small_pair
-        result = ifgsm_attack(fast_estimator, f1, f2, eps_inf=5e-3, steps=steps)
+        result = ifgsm_attack(fast_estimator, f1, f2,
+                              IfgsmConfig(eps_inf=5e-3, steps=steps))
         assert len(forwards.keys) == steps + 1
         assert forwards.keys[0] == frame_bytes(f1, f2)  # step 0's too
         assert forwards.keys[-1] == frame_bytes(result.frame1_adv,
@@ -785,7 +792,8 @@ class TestOneSolvePerFrameStack:
             a[:, :5] = -0.0
             b[:, :, :3] = -0.0
         if method == "ifgsm":
-            result = ifgsm_attack(fast_estimator, a, b, eps_inf=5e-3, steps=2)
+            result = ifgsm_attack(fast_estimator, a, b,
+                                  IfgsmConfig(eps_inf=5e-3, steps=2))
         else:
             result = pcfa_attack(fast_estimator, a, b, PcfaConfig(
                 epsilon2=5e-3, steps=3, box=BoxConstraint(method)))
@@ -806,7 +814,8 @@ class TestOneSolvePerFrameStack:
                                         forwards, method):
         f1, f2, _ = small_pair
         if method == "ifgsm":
-            result = ifgsm_attack(fast_estimator, f1, f2, eps_inf=5e-3, steps=2)
+            result = ifgsm_attack(fast_estimator, f1, f2,
+                                  IfgsmConfig(eps_inf=5e-3, steps=2))
         else:
             result = pcfa_attack(fast_estimator, f1, f2, PcfaConfig(
                 epsilon2=5e-3, steps=2, box=BoxConstraint(method)))
@@ -834,8 +843,8 @@ class TestPairSetup:
         if method == "pcfa":
             return pcfa_attack(estimator, f1, f2,
                                PcfaConfig(epsilon2=5e-3, steps=2, target=target))
-        return ifgsm_attack(estimator, f1, f2, eps_inf=5e-3, steps=2,
-                            target=target)
+        return ifgsm_attack(estimator, f1, f2,
+                            IfgsmConfig(eps_inf=5e-3, steps=2, target=target))
 
     @pytest.mark.parametrize("kind", ["zero", "negative", "custom"])
     @pytest.mark.parametrize("method", ["pcfa", "ifgsm"])
@@ -892,7 +901,8 @@ class TestOneTapeAtATime:
 
     def test_ifgsm(self, setting):
         estimator, f1, f2, one = setting
-        peak = traced_peak(lambda: ifgsm_attack(estimator, f1, f2, 0.01, steps=3))
+        peak = traced_peak(lambda: ifgsm_attack(estimator, f1, f2,
+                                                IfgsmConfig(0.01, steps=3)))
         assert peak < 1.2 * one
 
     @staticmethod

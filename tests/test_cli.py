@@ -1,6 +1,8 @@
 import argparse
 import configparser
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from flowattack import cli
 from flowattack import io as flowio
 from flowattack.cli import main
 from flowattack.core import FlowField, Perturbation, PerturbMode
-from flowattack.diffflow import builtin_estimators
+from flowattack.diffflow import EstimatorConfig, builtin_estimators
 from flowattack.synthetic import make_pair
 
 
@@ -200,6 +202,16 @@ class TestAttackCommand:
         assert record["trace"]["value_evals"] == 0
         assert record["trace"]["stop_reason"] == "max_steps"
         assert record["initial_quality"] is not None  # pair 0 carries a gt
+
+    def test_ifgsm_budget_needs_no_mu(self, tmp_path):
+        # eps2 is I-FGSM's L-infinity budget, which no penalty weight
+        # goes with: a budget with no finite default mu for PCFA runs
+        out = tmp_path / "out"
+        assert run(["--out", out, "attack", "--method", "ifgsm",
+                    "--eps2", "1e-300", "--steps", 1]) == 0
+        record = json.loads((out / "report.jsonl").read_text())
+        assert record["eps2"] == 1e-300 and record["mu"] is None
+        assert record["linf"] <= 1e-300
 
     def test_initial_quality_never_uses_attacked_flow(self, tmp_path,
                                                       tiny_manifest):
@@ -439,7 +451,7 @@ class TestSettingsTable:
         echo.read(out / "config_echo.ini")
         assert set(echo["attack"]) == attack_keys
         for section in echo.sections():
-            assert set(echo[section]) <= cli._READS[name][section]
+            assert set(echo[section]) <= set(cli._table(name)[section])
 
     def test_transfer_estimator_section_sets_solver_keys(self, tmp_path,
                                                          run_argv):
@@ -489,6 +501,64 @@ class TestSettingsTable:
         assert capsys.readouterr().err == \
             f"usage error: {command} reads no configuration file\n"
         assert not out.exists()
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_settings() -> dict[str, dict[str, set[str]]]:
+    """The README's settings table as run -> section -> keys. A
+    parenthesized note is not a key, and `as for PCFA` stands for the
+    PCFA row's keys of that section."""
+    text = README.read_text()
+    rows = text[text.index("| run | sections and keys it reads |"):]
+    table = {}
+    for row in rows.splitlines()[2:]:
+        if not row.startswith("|"):
+            break
+        run_cell, keys_cell = (cell.strip() for cell in row.strip("|").split("|"))
+        if "[" not in keys_cell:
+            continue  # the commands that read no configuration file
+        name = "ifgsm" if "ifgsm" in run_cell else run_cell.split("`")[1]
+        table[name] = {}
+        for part in re.sub(r"\([^)]*\)", "", keys_cell).split(";"):
+            section, rest = re.search(r"`\[([^\]]+)\]`(.*)", part).groups()
+            table[name][section] = (table["attack"][section] if "as for PCFA" in rest
+                                    else set(re.findall(r"`([^`]+)`", rest)))
+    return table
+
+
+class TestEchoAndDocs:
+    @pytest.mark.parametrize("name,flags", [
+        ("attack", ["--eps2", "1e-2", "--box", "cov", "--target", "negative"]),
+        ("ifgsm", ["--eps2", "1e-2", "--loss", "mse"]),
+        ("universal", ["--eps2", "5e-2", "--mode", "joint", "--batch-size", 1]),
+        ("transfer", []),
+    ])
+    def test_echo_reruns_byte_identically(self, tmp_path, run_argv, name,
+                                          flags):
+        """config_echo.ini holds every setting the run used, defaults
+        included (`mu = auto` among them), as --config reads it: the run
+        again from the echo alone, with the same seed, writes the same
+        bytes."""
+        first, again = tmp_path / "first", tmp_path / "again"
+        common = ["--seed", 5, "--deterministic"]
+        assert run(["--out", first, *common, *run_argv[name], *flags]) == 0
+        assert run(["--config", first / "config_echo.ini", "--out", again,
+                    *common, run_argv[name][0]]) == 0
+        files = sorted(p.relative_to(first) for p in first.iterdir())
+        assert files == sorted(p.relative_to(again) for p in again.iterdir())
+        for path in files:
+            assert (first / path).read_bytes() == (again / path).read_bytes(), path
+
+    def test_readme_table_lists_what_each_run_reads(self):
+        documented = readme_settings()
+        expected = {name: {section: set(keys)
+                           for section, keys in cli._table(name).items()}
+                    for name in ("attack", "ifgsm", "universal", "transfer")}
+        expected["transfer"]["estimator.<label>"] = set(
+            cli._keys(EstimatorConfig))
+        assert documented == expected
 
 
 class TestUniversalAndTransfer:
@@ -650,6 +720,25 @@ class TestUniversalAndTransfer:
         assert err.startswith(f"i/o error: {pert}") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_transfer_refuses_perturbations_of_one_stem(self, tmp_path,
+                                                         capsys,
+                                                         tiny_manifest):
+        """A file's stem names its matrix column, so two files of one stem
+        would give two columns of one name."""
+        paths = []
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+            paths.append(tmp_path / name / "universal_delta.npz")
+            flowio.write_perturbation(
+                paths[-1], Perturbation.zeros(PerturbMode.JOINT, (1, 24, 24)))
+        out = tmp_path / "out"
+        assert run(["--out", out, "transfer", "--estimators", "hs",
+                    "--perturbations", *paths, "--manifest", tiny_manifest]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: perturbation files share the "
+                              "stem 'universal_delta'") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_universal_requires_manifest(self, tmp_path):
         assert run(["--out", tmp_path / "x", "universal"]) == 1
 
@@ -771,8 +860,8 @@ class TestUsage:
 
     def test_every_configuration_flag_has_a_schema_key(self):
         # a flag's value is merged only as the one key of its command's
-        # _READS entry that equals its dest; --frames names inputs and sets
-        # no key
+        # settings table that equals its dest; --frames names inputs and
+        # sets no key
         sub = next(a for a in cli._build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction))
         for command in ("attack", "universal", "transfer"):
@@ -780,21 +869,35 @@ class TestUsage:
                 if action.dest in ("help", "frames"):
                     continue
                 sections = [section for section, keys in
-                            cli._READS[command].items() if action.dest in keys]
+                            cli._table(command).items() if action.dest in keys]
                 assert len(sections) == 1, (command, action.dest)
+
+
+def table_numeric_settings():
+    """Every numeric key of the CLI's settings table, as (command,
+    `section.key`, fixed lines of its section). [estimator] is read alike
+    by every run, so it is drawn for PCFA only, once per built-in label."""
+    numeric = (int, float, float | None)
+    settings = []
+    for name, lines in (("attack", ""), ("ifgsm", "method = ifgsm"),
+                        ("universal", "")):
+        command = "universal" if name == "universal" else "attack"
+        for section, keys in cli._table(name).items():
+            for key in (key for key, hint in keys.items() if hint in numeric):
+                if section != "estimator":
+                    settings.append((command, f"{section}.{key}",
+                                     lines if section == "attack" else ""))
+                elif name == "attack":
+                    settings += [(command, f"estimator.{key}", f"label = {label}")
+                                 for label in builtin_estimators()]
+    return settings
 
 
 # Every numeric setting: (command, setting, fixed lines of its section).
 # A `section.key` setting is drawn in a config file, a `--flag` on the
 # command line.
 NUMERIC_SETTINGS = [
-    *[("attack", f"attack.{key}", "") for key in ("eps2", "mu", "steps")],
-    *[("attack", f"estimator.{key}", f"label = {label}")
-      for label in ("hs", "hs-pyr") for key in ("alpha", "iterations", "levels")],
-    *[("attack", f"attack.{key}", "method = ifgsm") for key in ("eps2", "steps")],
-    *[("universal", f"attack.{key}", "") for key in ("eps2", "mu")],
-    *[("universal", f"universal.{key}", "")
-      for key in ("epochs", "batch_size", "steps_per_batch")],
+    *table_numeric_settings(),
     ("viz", "--max-mag", ""),
     *[("checkgrad", flag, "") for flag in ("--h", "--tol", "--pairs")],
     ("attack", "--seed", ""), ("attack", "--jobs", ""),
@@ -829,6 +932,26 @@ def _setting_id(case):
 
 
 class TestNumericSettings:
+    def test_table_holds_every_numeric_config_key(self):
+        """The 22 numeric settings of the attack, I-FGSM and universal
+        runs and of the flags are all drawn."""
+        guarded = {
+            *[("attack", f"attack.{key}", "") for key in ("eps2", "mu", "steps")],
+            *[("attack", f"estimator.{key}", f"label = {label}")
+              for label in ("hs", "hs-pyr")
+              for key in ("alpha", "iterations", "levels")],
+            *[("attack", f"attack.{key}", "method = ifgsm")
+              for key in ("eps2", "steps")],
+            *[("universal", f"attack.{key}", "") for key in ("eps2", "mu")],
+            *[("universal", f"universal.{key}", "")
+              for key in ("epochs", "batch_size", "steps_per_batch")],
+            ("viz", "--max-mag", ""),
+            *[("checkgrad", flag, "") for flag in ("--h", "--tol", "--pairs")],
+            ("attack", "--seed", ""), ("attack", "--jobs", ""),
+        }
+        assert len(guarded) == 22
+        assert guarded <= set(NUMERIC_SETTINGS)
+
     @pytest.mark.parametrize("value", NUMERIC_VALUES, ids=lambda v: v or "empty")
     @pytest.mark.parametrize("case", NUMERIC_SETTINGS, ids=_setting_id)
     def test_fails_closed(self, tmp_path, capsys, monkeypatch, small_inputs,
@@ -857,6 +980,10 @@ class TestNumericSettings:
         if code:
             assert err.endswith("\n") and err.count("\n") == 1, err
             assert not out.exists()
+        if value == "abc":  # a value that does not parse names its setting
+            named = (setting if setting.startswith("--")
+                     else "[{}] {}: ".format(*setting.split(".")))
+            assert code == 1 and named in err, err
         if code == 3:  # a failed solve or gradient gate names its estimator
             labels = lines.split(" = ")[1:] or list(builtin_estimators())
             assert any(f"estimator {label!r}" in err for label in labels), err
