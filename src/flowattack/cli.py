@@ -115,9 +115,10 @@ def _table(run: str) -> dict[str, dict[str, object]]:
         table["transfer"] = {"estimators": None, "perturbations": None}
     else:
         table["estimator"]["label"] = None
+    table["dataset"] = {"manifest": None}
     if run in ("attack", "ifgsm"):
         table["attack"]["method"] = None
-    table["dataset"] = {"manifest": None}
+        table["dataset"]["frames"] = None
     return table
 
 
@@ -354,12 +355,17 @@ def cmd_attack(args) -> int:
     cfg = _build(_METHODS[method], "attack", config,
                  **({"seed": args.seed} if method == "pcfa" else {}))
 
-    manifest = config.get("dataset", {}).get("manifest")
-    if args.frames and manifest:
+    dataset = config.get("dataset", {})
+    manifest = dataset.get("manifest")
+    frames = _split(dataset.get("frames", ""))
+    if frames and manifest:
         raise UsageError("--frames and a dataset manifest both name the "
                          "inputs; give one of them")
-    if args.frames:
-        entries = [(*args.frames, None)]
+    if frames:
+        if len(frames) != 2:
+            raise UsageError(f"[dataset] frames names {len(frames)} files, "
+                             "not the two frames of one pair")
+        entries = [(*frames, None)]
     elif manifest:
         entries = DatasetManifest.from_file(manifest).entries
     else:

@@ -21,21 +21,26 @@ Solver layout: inside `_jacobi` and `_jacobi_adj` the flow (u, v) is one
 stacked (2, L) array in a flat, zero-guarded layout (`_Guarded`): every
 grid row ends in a zero guard column, and zero guard rows lie above and
 below, so L = M * (N + 1) and the 4-neighbour sum is three adds of
-shifted contiguous slices in the order up + down, + left, + right. A
-sweep makes one such sum, and so does a reverse step, on the cotangent.
-Flows and the cotangents of the start and of b are byte-identical to
-per-grid neighbour sums; the reverse sweep forms the coefficient
-cotangents once from two running sums (`_jacobi_adj`), a reassociation
-that moves them by about 1e-15 of their largest entry.
+shifted contiguous slices in the order up + down, + left, + right. The
+2x2 solve is pre-divided: P = alpha * (d22, d11) / det and
+Q = alpha * a12 / det, 0 on guard cells, turn a sweep into the residual
+r' = nsum(w) - b / alpha and the update w = P * r' - Q * swap(r'), and
+a reverse step into lambda' = P * g - Q * swap(g) and one neighbour sum
+on it. Both kernels walk the span in row blocks of about BLOCK_PIXELS
+pixels, so that a block's slices of the sweep arrays stay in cache
+between numpy calls; every cell sees the same operations in the same
+order, so the bytes do not depend on the blocking. Flows and gradients
+agree with the original per-grid kernels (kept in the tests) to about
+1e-15 of their largest entry.
 
 Tapes hold exactly what the reverse sweep reads. The tape of a forward
 pass is one level tape per pyramid level, finest first:
 (ix, iy, it, jacobi tape, warp context). The image derivatives give the
 coefficients' adjoint and, through their shapes, the level shapes; the
 warp context is None where the level does not warp. The Jacobi tape is
-(layout, alpha, a12, dd, det, residuals): the flat solve coefficients
-and the residuals r_k = alpha * nsum(w_k) - b, not the iterates, as one
-(K, 2, L) array.
+(layout, alpha, P, Q, residuals): the pre-divided solve and the scaled
+residuals r'_k = nsum(w_k) - b / alpha, not the iterates, as one
+(K, 2, L) array; (2K + 3) * M * (N + 1) floats per pair and level.
 
 Batch axis: every primitive and kernel takes leading batch dims, frames
 (..., C, M, N) and flows (..., M, N), and a (C, M, N) pair is the case
@@ -44,8 +49,7 @@ block of the warp's flat indices, and sums over its own channels, so
 every flow and gradient is bitwise that of the pair's own call. A batch
 runs each numpy call once for all its pairs, which saves the per-call
 overhead that dominates the sweeps of small grids. Its tape is the sum
-of its pairs' tapes, residuals (K, B, 2, L) per level: 2K * M * (N + 1)
-floats per pair and level.
+of its pairs' tapes, residuals (K, B, 2, L) per level.
 """
 
 from __future__ import annotations
@@ -65,18 +69,24 @@ __all__ = ["EstimatorConfig", "FlowEstimator", "finite_diff_check", "builtin_est
 # ---------------------------------------------------------------------------
 
 def _dx(a):
-    """Central x-derivative with edge replication, any leading dims."""
-    ap = np.pad(a, [(0, 0)] * (a.ndim - 1) + [(1, 1)], mode="edge")
-    return 0.5 * (ap[..., 2:] - ap[..., :-2])
+    """Central x-derivative with edge replication, any leading dims; the
+    last axis holds at least two samples."""
+    out = np.empty_like(a, dtype=float)
+    np.subtract(a[..., 2:], a[..., :-2], out=out[..., 1:-1])
+    np.subtract(a[..., 1:2], a[..., :1], out=out[..., :1])
+    np.subtract(a[..., -1:], a[..., -2:-1], out=out[..., -1:])
+    out *= 0.5
+    return out
 
 
 def _dx_adj(g):
-    gp = np.zeros(g.shape[:-1] + (g.shape[-1] + 2,))
-    gp[..., 2:] += 0.5 * g
-    gp[..., :-2] -= 0.5 * g
-    out = gp[..., 1:-1].copy()
-    out[..., 0] += gp[..., 0]
-    out[..., -1] += gp[..., -1]
+    """Adjoint of `_dx`: each edge sample takes both of its replicas' terms."""
+    h = 0.5 * g
+    out = np.empty_like(h)
+    np.subtract(h[..., :-2], h[..., 2:], out=out[..., 1:-1])
+    np.subtract(0.0, h[..., :1] + h[..., 1:2], out=out[..., :1])
+    np.add(h[..., -2:-1], h[..., -1:], out=out[..., -1:])
+    out += 0.0  # -0.0 to 0.0: the transpose sums its terms from 0.0
     return out
 
 
@@ -232,6 +242,16 @@ def _coefficients_adj(ix, iy, it, *gcoef):
     return gix, giy, git
 
 
+# Grid pixels, over every pair of a batch, that one row block of a Jacobi
+# sweep covers. A sweep's numpy calls take turns on six to nine span
+# arrays; a block's slices of them stay in a 2 MiB L2 cache from one call
+# to the next, where a whole KITTI-size span (7.5 MB per array) streams
+# from memory at every call. Blocks of 8k to 32k pixels ran alike; a span
+# at or below this runs as one block, as every 64x64 grid and a group of
+# four of them do.
+BLOCK_PIXELS = 4 * 64 * 64
+
+
 class _Guarded:
     """Flat, zero-guarded layout of an M x N grid for the Jacobi kernels.
 
@@ -245,7 +265,8 @@ class _Guarded:
     bounds: three adds of contiguous slices.
 
     `lead` is the batch shape in front: every pair of a batch has its own
-    buffer and span, so spans are (*lead, k, L) arrays.
+    buffer and span, so spans are (*lead, k, L) arrays. `blocks` cuts the
+    span into row blocks of about BLOCK_PIXELS pixels over all pairs.
     """
 
     def __init__(self, lead, m, n):
@@ -254,6 +275,9 @@ class _Guarded:
         self.stride = n + 1
         self.lo = n + 1
         self.hi = (m + 1) * (n + 1)
+        rows = max(1, BLOCK_PIXELS // (n * math.prod(lead)))
+        self.blocks = [slice(i * self.stride, min(i + rows, m) * self.stride)
+                       for i in range(0, m, rows)]
 
     def put(self, *grids, guard=0.0):
         """Stack (*lead, M, N) grids into a (*lead, len(grids), L) span array."""
@@ -276,18 +300,33 @@ class _Guarded:
         buf[..., self.lo:self.hi] = span
         return buf, buf[..., self.lo:self.hi]
 
-    def nsum(self, buf, out):
-        """4-neighbour sum of a buffer's span: up + down, + left, + right."""
-        lo, hi, s = self.lo, self.hi, self.stride
-        np.add(buf[..., lo - s:hi - s], buf[..., lo + s:hi + s], out=out)
-        out += buf[..., lo - 1:hi - 1]
-        out += buf[..., lo + 1:hi + 1]
-        return out
+    def neighbours(self, buf, cells):
+        """The up, down, left and right neighbours in `buf` of the span
+        cells `cells`, as views."""
+        lo, hi, s = self.lo + cells.start, self.lo + cells.stop, self.stride
+        return (buf[..., lo - s:hi - s], buf[..., lo + s:hi + s],
+                buf[..., lo - 1:hi - 1], buf[..., lo + 1:hi + 1])
+
+
+def _nsum(neighbours, out):
+    """4-neighbour sum of one block: up + down, + left, + right."""
+    up, down, left, right = neighbours
+    np.add(up, down, out=out)
+    out += left
+    out += right
 
 
 def _swap(a):
     """(u, v) -> (v, u) on the component axis of a (..., 2, L) span."""
     return a[..., ::-1, :]
+
+
+def _solve(p, q, x, out, tmp):
+    """out = p * x - q * swap(x) on one block: the pre-divided 2x2 solve,
+    which is its own adjoint."""
+    np.multiply(p, x, out=out)
+    np.multiply(q, _swap(x), out=tmp)
+    out -= tmp
 
 
 def _jacobi(coeffs, u0, v0, alpha, iters):
@@ -296,17 +335,24 @@ def _jacobi(coeffs, u0, v0, alpha, iters):
     Each sweep solves the per-pixel 2x2 system exactly against the
     neighbor sums of the previous iterate. The coefficients and the start
     are (..., M, N) grids; leading dims are a batch of independent grids.
-    The flow (u, v) is carried as one stacked (..., 2, L) span in the
-    `_Guarded` layout, so a sweep is one neighbour sum
-    r = alpha * nsum(w) - b and one solve w = (dd * r - a12 * swap(r)) / det
-    with dd = (d22, d11). det is inf on the guard cells, so the solve
-    writes zeros there and the guards stay zero. Returns the final flow
-    plus the tape for the adjoint sweep, (layout, alpha, a12, dd, det,
-    residuals): everything `_jacobi_adj` reads and nothing more. The
-    residuals r_k are one (K, ..., 2, L) array, 2K * M * (N + 1) floats
-    per grid, about the 2(K + 1) * M * N of an iterate tape; a12 and det
-    add one span each and dd two. `_jacobi_adj` needs no iterate: the
-    coefficient cotangents are bilinear in the cotangents and residuals.
+    The flow w = (u, v) is carried as one stacked (..., 2, L) span in the
+    `_Guarded` layout. With A = [[d11, a12], [a12, d22]] the solve is
+    pre-divided: P = alpha * (d22, d11) / det and Q = alpha * a12 / det
+    are A^-1 scaled by alpha, and b' = b / alpha, so a sweep is the
+    residual r' = nsum(w) - b' and the solve w = P * r' - Q * swap(r'),
+    7 numpy calls. P and Q are 0 on guard cells, so the guards stay zero.
+
+    The sweep runs in the span's row blocks (`_Guarded.blocks`), solving
+    each block after the next block's residual: that residual reads the
+    block's last row, which must still hold w_k. Every cell sees the same
+    operations in the same order, so any blocking gives the same bytes.
+
+    Returns the final flow plus the tape for the adjoint sweep,
+    (layout, alpha, P, Q, residuals): everything `_jacobi_adj` reads and
+    nothing more. The residuals r'_k = r_k / alpha are one (K, ..., 2, L)
+    array, so the tape holds (2K + 3) * M * (N + 1) floats per grid; no
+    iterate is kept, as the coefficient cotangents are bilinear in the
+    cotangents and residuals.
     """
     a11, a12, a22, b1, b2 = coeffs
     m, n = a11.shape[-2:]
@@ -315,71 +361,96 @@ def _jacobi(coeffs, u0, v0, alpha, iters):
     count = 4.0 - (i == 0) - (i == m - 1) - (j == 0) - (j == n - 1)
     d11 = a11 + alpha * count
     d22 = a22 + alpha * count
+    det = d11 * d22 - a12 * a12
     lay = _Guarded(a11.shape[:-2], m, n)
-    dd = lay.put(d22, d11)
-    a12f = lay.put(a12)
-    detf = lay.put(d11 * d22 - a12 * a12, guard=np.inf)
-    del d11, d22  # the tape sets the memory peak; hold nothing more
-    b = lay.put(b1, b2)
+    p = lay.put(alpha * d22 / det, alpha * d11 / det)
+    q = lay.put(alpha * a12 / det)
+    del d11, d22, det  # the tape sets the memory peak; hold nothing more
+    b = lay.put(b1 / alpha, b2 / alpha)
     buf, w = lay.buffer(lay.put(u0, v0))
     w += 0.0  # -0.0 to 0.0, so no neighbour sum is -0.0 (0.0 + a never is)
+    tmp = np.empty(lay.lead + (2, lay.blocks[0].stop))
+    plan = [(cells, lay.neighbours(buf, cells), b[..., cells], p[..., cells],
+             q[..., cells], w[..., cells], tmp[..., :cells.stop - cells.start])
+            for cells in lay.blocks]
     rs = np.empty((iters,) + b.shape)
-    for k in range(iters):
-        r = lay.nsum(buf, out=rs[k])
-        r *= alpha
-        r -= b
-        # w_k is spent, so w_{k+1} overwrites it; the next tape slot (b
-        # after the last residual) holds a12 * swap(r) meanwhile
-        scratch = rs[k + 1] if k + 1 < iters else b
-        np.multiply(dd, r, out=w)
-        np.multiply(a12f, _swap(r), out=scratch)
-        w -= scratch
-        w /= detf
+    for r in rs:
+        behind = None
+        for cells, near, bb, pb, qb, wb, tb in plan:
+            rb = r[..., cells]
+            _nsum(near, out=rb)
+            rb -= bb
+            if behind:
+                _solve(*behind)
+            behind = (pb, qb, rb, wb, tb)
+        _solve(*behind)
     u, v = lay.grids(w)
-    return u, v, (lay, alpha, a12f, dd, detf, rs)
+    return u, v, (lay, alpha, p, q, rs)
 
 
-def _jacobi_adj(gu, gv, tape):
-    """Reverse sweep of `_jacobi`, on the same guarded layout.
-
-    With A = [[d11, a12], [a12, d22]] and g_k the cotangent of
-    w_{k+1} = A^-1 r_k, step k forms lambda_k = A^-1 g_k, subtracts it
-    into gb and runs one neighbour sum on it. The coefficient cotangent
-    -sum_k lambda_k w_{k+1}^T = -A^-1 (sum_k g_k r_k^T) A^-1 needs only
-    S = sum g_k * r_k and T = sum g_k * swap(r_k), so no iterate is
-    recomputed and ga11, ga12, ga22 are formed once after the loop, on
-    the grids only: on guard cells det = inf and they would read inf/inf.
-    In the loop the guards' finite cotangents meet dd = a12 = 0 over
-    det = inf, so nothing flows back from them.
-    """
-    lay, alpha, a12, dd, det, rs = tape
-    g = lay.put(gu, gv)
-    g += 0.0  # as in `_jacobi`
+def _reverse_steps(lay, p, q, rs, g):
+    """The K steps of `_jacobi_adj`, last sweep first, in place on the
+    cotangent g. Returns -sum lambda'_k, S and T as (..., 2, L) spans;
+    the steps' scratch dies with the call."""
     gbuf, lam = lay.buffer(0.0)
     gb = np.zeros_like(g)
     s = np.zeros_like(g)
     t = np.zeros_like(g)
-    tmp = np.empty_like(g)
+    tmp = np.empty(lay.lead + (2, lay.blocks[0].stop))
+    plan = [(cells, lay.neighbours(gbuf, cells), p[..., cells], q[..., cells],
+             g[..., cells], lam[..., cells], gb[..., cells], s[..., cells],
+             t[..., cells], tmp[..., :cells.stop - cells.start])
+            for cells in lay.blocks]
     for r in rs[::-1]:
-        np.multiply(g, dd, out=lam)
-        np.multiply(_swap(g), a12, out=tmp)
-        lam -= tmp
-        lam /= det
-        gb -= lam
-        np.multiply(g, r, out=tmp)
-        s += tmp
-        np.multiply(g, _swap(r), out=tmp)
-        t += tmp
-        lay.nsum(gbuf, out=g)
-        g *= alpha
-    del gbuf, lam, tmp  # on one-channel grids the closed form sets the peak
-    (d22, d11), (a,), (dt,) = lay.grids(dd), lay.grids(a12), lay.grids(det)
+        behind = None
+        for cells, near, pb, qb, gk, lk, gbk, sk, tk, tb in plan:
+            _solve(pb, qb, gk, lk, tb)
+            gbk -= lk
+            rb = r[..., cells]
+            np.multiply(gk, rb, out=tb)
+            sk += tb
+            np.multiply(gk, _swap(rb), out=tb)
+            tk += tb
+            if behind:
+                _nsum(*behind)
+            behind = (near, gk)
+        _nsum(*behind)
+    return gb, s, t
+
+
+def _jacobi_adj(gu, gv, tape):
+    """Reverse sweep of `_jacobi`, on the same guarded layout and blocks.
+
+    With g_k the cotangent of w_{k+1} = alpha A^-1 r'_k, step k forms
+    lambda'_k = alpha A^-1 g_k = P * g_k - Q * swap(g_k), the cotangent of
+    r'_k, subtracts it into gb and runs one neighbour sum on it: 11 numpy
+    calls. A block's neighbour sum reads the next block's first row of
+    lambda', so each block is summed after the next block's lambda'. b
+    enters as b / alpha, so gb is divided by alpha once after the loop.
+
+    The coefficient cotangent -sum_k lambda_k w_{k+1}^T, with
+    M = [[Pu, -Q], [-Q, Pv]] = alpha A^-1, is -M (sum_k g_k r'_k^T) M /
+    alpha. It needs only S = sum g_k * r'_k and T = sum g_k * swap(r'_k),
+    so no iterate is recomputed; with t = T_u + T_v,
+
+        ga11 = -(Pu^2 S_u + Q^2 S_v - Q Pu t) / alpha
+        ga22 = -(Pv^2 S_v + Q^2 S_u - Q Pv t) / alpha
+        ga12 = (2Q (Pu S_u + Pv S_v) - (Q^2 + Pu Pv) t) / alpha
+
+    formed once after the loop, on the grids only. P = Q = 0 on guard
+    cells, so nothing flows back from their finite cotangents.
+    """
+    lay, alpha, p, q, rs = tape
+    g = lay.put(gu, gv)
+    g += 0.0  # as in `_jacobi`
+    gb, s, t = _reverse_steps(lay, p, q, rs, g)
+    gb /= alpha
+    (pu, pv), (qq,) = lay.grids(p), lay.grids(q)
     (s1, s2), (t1, t2) = lay.grids(s), lay.grids(t)
     t12 = np.add(t1, t2, out=t1)
-    det2 = np.multiply(dt, dt, out=t2)
-    ga11 = -(d22 * d22 * s1 + a * a * s2 - a * d22 * t12) / det2
-    ga22 = -(d11 * d11 * s2 + a * a * s1 - a * d11 * t12) / det2
-    ga12 = (2.0 * a * (d22 * s1 + d11 * s2) - (2.0 * a * a + dt) * t12) / det2
+    ga11 = -(pu * pu * s1 + qq * qq * s2 - qq * pu * t12) / alpha
+    ga22 = -(pv * pv * s2 + qq * qq * s1 - qq * pv * t12) / alpha
+    ga12 = (2.0 * qq * (pu * s1 + pv * s2) - (qq * qq + pu * pv) * t12) / alpha
     gb1, gb2 = lay.grids(gb)
     gu, gv = lay.grids(g)
     return gu, gv, (ga11, ga12, ga22, gb1, gb2)
@@ -486,6 +557,7 @@ class FlowEstimator:
             if not cfg.warp:  # the solve started from the upsampled flow
                 gu, gv = gu0, gv0
             g1, g2 = _derivatives_adj(*_coefficients_adj(ix, iy, it, *gcoef))
+            del gu0, gv0, gcoef  # the warp adjoint below sets the memory peak
             if wctx is not None:
                 g2, gu_w, gv_w = _warp_adj(g2, wctx)
                 gu = gu + gu_w

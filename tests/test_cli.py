@@ -410,7 +410,9 @@ def run_argv(tmp_path, tiny_manifest):
     pert = tmp_path / "zero.npz"
     flowio.write_perturbation(
         pert, Perturbation.zeros(PerturbMode.JOINT, (1, 24, 24)))
+    frames = [tiny_manifest.parent / "p0_1.png", tiny_manifest.parent / "p0_2.png"]
     return {"attack": ["attack", "--steps", 1],
+            "frames": ["attack", "--frames", *frames, "--steps", 1],
             "ifgsm": ["attack", "--method", "ifgsm", "--steps", 1],
             "universal": ["universal", "--manifest", tiny_manifest,
                           "--epochs", 1],
@@ -486,6 +488,18 @@ class TestSettingsTable:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("frames", ["a.png", "a.png, b.png, c.png"])
+    def test_frames_names_two_files(self, tmp_path, capsys, frames):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[dataset]\nframes = {frames}\n")
+        out = tmp_path / "out"
+        assert run(["--config", cfg, "--out", out, "attack", "--steps", 1]) == 1
+        count = len(frames.split(","))
+        assert capsys.readouterr().err == (
+            f"usage error: [dataset] frames names {count} files, not the two "
+            "frames of one pair\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("exists", [True, False])
     @pytest.mark.parametrize("command", ["viz", "checkgrad"])
     def test_viz_and_checkgrad_reject_config(self, tmp_path, capsys, command,
@@ -534,11 +548,13 @@ class TestEchoAndDocs:
         ("ifgsm", ["--eps2", "1e-2", "--loss", "mse"]),
         ("universal", ["--eps2", "5e-2", "--mode", "joint", "--batch-size", 1]),
         ("transfer", []),
+        ("frames", []),
     ])
     def test_echo_reruns_byte_identically(self, tmp_path, run_argv, name,
                                           flags):
         """config_echo.ini holds every setting the run used, defaults
-        included (`mu = auto` among them), as --config reads it: the run
+        included (`mu = auto` among them), and the inputs it named
+        (`--frames` as `[dataset] frames`), as --config reads it: the run
         again from the echo alone, with the same seed, writes the same
         bytes."""
         first, again = tmp_path / "first", tmp_path / "again"
@@ -860,13 +876,12 @@ class TestUsage:
 
     def test_every_configuration_flag_has_a_schema_key(self):
         # a flag's value is merged only as the one key of its command's
-        # settings table that equals its dest; --frames names inputs and
-        # sets no key
+        # settings table that equals its dest
         sub = next(a for a in cli._build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction))
         for command in ("attack", "universal", "transfer"):
             for action in sub.choices[command]._actions:
-                if action.dest in ("help", "frames"):
+                if action.dest == "help":
                     continue
                 sections = [section for section, keys in
                             cli._table(command).items() if action.dest in keys]
