@@ -731,7 +731,8 @@ def ifgsm_attack(estimator: FlowEstimator, frame1, frame2,
         p2 = np.clip(i2 + d2, 0.0, 1.0)
         trace.values.append(lval)
         trace.step_lengths.append(step)
-        del vjp  # the cache's is then the only reference to the tape
+        # what the step read dies before the next step's solve
+        del flows, vjp, gflow, g1, g2, d1, d2
     return _attack_result(solves, estimator, cfg.mode, p1 - i1, p2 - i2,
                           p1, p2, flow_init, tgt, trace,
                           (float(min(p1.min(), p2.min())),

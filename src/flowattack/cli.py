@@ -21,6 +21,7 @@ import argparse
 import configparser
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -280,6 +281,33 @@ def _finite_positive(flag: str, value: float):
         raise UsageError(f"{flag} must be finite and positive, got {value}")
 
 
+def _physical_memory() -> int | None:
+    """This machine's physical memory in bytes; None where sysconf does
+    not report it."""
+    try:
+        pages, size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return pages * size if pages > 0 and size > 0 else None
+
+
+def _check_fits(estimator: FlowEstimator, shape, section: str = "estimator"):
+    """Refuse a run whose Jacobi tape for one pair of frames of `shape`
+    (`FlowEstimator.tape_bytes`, a lower bound on a solve's memory)
+    exceeds physical memory, as a usage error that names the section's
+    `iterations` and the tape size. It runs before the solve, so the
+    run fails before it writes anything, where numpy would fail to
+    allocate. Where the memory is not known, nothing is refused."""
+    memory = _physical_memory()
+    need = estimator.tape_bytes(shape)
+    if memory is not None and need > memory:
+        m, n = shape[-2:]
+        raise UsageError(
+            f"[{section}] iterations = {estimator.config.iterations}: the "
+            f"Jacobi tape of one {m}x{n} pair needs {need / 2 ** 30:,.1f} GiB, "
+            f"more than this machine's {memory / 2 ** 30:,.1f} GiB of memory")
+
+
 def _split(text: str) -> list[str]:
     return [s.strip() for s in text.split(",") if s.strip()]
 
@@ -311,6 +339,7 @@ def _attack_one(payload):
     (estimator, cfg, entry, stem, out_dir, seed, deterministic) = payload
     frame1 = entry[0] if not isinstance(entry[0], str) else flowio.read_image(entry[0])
     frame2 = entry[1] if not isinstance(entry[1], str) else flowio.read_image(entry[1])
+    _check_fits(estimator, frame1.data.shape)
     gt = entry[2]
     if isinstance(gt, str):
         gt = flowio.read_flow_any(gt)
@@ -399,10 +428,11 @@ def cmd_universal(args) -> int:
     estimator = _build_estimator(config)
     cfg = _build(PcfaConfig, "attack", config, seed=args.seed)
     ucfg = _build(UniversalTrainConfig, "universal", config, attack=cfg)
-    manifest = _read_manifest(config, "universal training")
+    pairs = _read_manifest(config, "universal training").load_pairs()
+    _check_fits(estimator, pairs[0][0].data.shape)
 
     start = time.perf_counter()
-    pert = train_universal(estimator, manifest.load_pairs(), ucfg)
+    pert = train_universal(estimator, pairs, ucfg)
     runtime_ms = 1000.0 * (time.perf_counter() - start)
 
     out_dir = Path(args.out)
@@ -442,10 +472,11 @@ def cmd_transfer(args) -> int:
             raise UsageError(f"perturbation files share the stem {name!r}, "
                              "which names their column; give distinct stems")
     perturbations = [flowio.read_perturbation(p) for p in pert_paths]
-    manifest = _read_manifest(config, "transfer")
+    pairs = _read_manifest(config, "transfer").load_pairs()
+    for est in estimators:
+        _check_fits(est, pairs[0][0].data.shape, f"estimator.{est.label}")
 
-    matrix, valid = transfer_matrix(estimators, perturbations,
-                                    manifest.load_pairs())
+    matrix, valid = transfer_matrix(estimators, perturbations, pairs)
     out_dir = Path(args.out)
 
     widths = [max(len(c), 10) for c in col_names]

@@ -40,7 +40,14 @@ coefficients' adjoint and, through their shapes, the level shapes; the
 warp context is None where the level does not warp. The Jacobi tape is
 (layout, alpha, P, Q, residuals): the pre-divided solve and the scaled
 residuals r'_k = nsum(w_k) - b / alpha, not the iterates, as one
-(K, 2, L) array; (2K + 3) * M * (N + 1) floats per pair and level.
+(K, 2, L) array; (2K + 3) * M * (N + 1) floats per pair and level,
+`FlowEstimator.tape_bytes` in all. Every buffer dies with its last
+reader. In the forward, a level's coefficient grids die once P, Q and
+b / alpha exist, and a warped frame once its derivatives do. The first
+call of a VJP consumes the tape: the reverse pass takes each level off
+it on arrival, so the finest level's Jacobi tape is gone before that
+level's coefficient, derivative and warp adjoints run. A repeat call
+runs the forward again on the same frames and gets the same bytes.
 
 Batch axis: every primitive and kernel takes leading batch dims, frames
 (..., C, M, N) and flows (..., M, N), and a (C, M, N) pair is the case
@@ -329,30 +336,14 @@ def _solve(p, q, x, out, tmp):
     out -= tmp
 
 
-def _jacobi(coeffs, u0, v0, alpha, iters):
-    """Fixed number of coupled Jacobi sweeps on the Euler-Lagrange system.
+def _predivide(coeffs, alpha):
+    """The pre-divided 2x2 systems of `_jacobi`, from the (..., M, N)
+    coefficient grids: (layout, alpha, P, Q, b'), the spans a sweep reads.
 
-    Each sweep solves the per-pixel 2x2 system exactly against the
-    neighbor sums of the previous iterate. The coefficients and the start
-    are (..., M, N) grids; leading dims are a batch of independent grids.
-    The flow w = (u, v) is carried as one stacked (..., 2, L) span in the
-    `_Guarded` layout. With A = [[d11, a12], [a12, d22]] the solve is
-    pre-divided: P = alpha * (d22, d11) / det and Q = alpha * a12 / det
-    are A^-1 scaled by alpha, and b' = b / alpha, so a sweep is the
-    residual r' = nsum(w) - b' and the solve w = P * r' - Q * swap(r'),
-    7 numpy calls. P and Q are 0 on guard cells, so the guards stay zero.
-
-    The sweep runs in the span's row blocks (`_Guarded.blocks`), solving
-    each block after the next block's residual: that residual reads the
-    block's last row, which must still hold w_k. Every cell sees the same
-    operations in the same order, so any blocking gives the same bytes.
-
-    Returns the final flow plus the tape for the adjoint sweep,
-    (layout, alpha, P, Q, residuals): everything `_jacobi_adj` reads and
-    nothing more. The residuals r'_k = r_k / alpha are one (K, ..., 2, L)
-    array, so the tape holds (2K + 3) * M * (N + 1) floats per grid; no
-    iterate is kept, as the coefficient cotangents are bilinear in the
-    cotangents and residuals.
+    With A = [[d11, a12], [a12, d22]] the solve is pre-divided:
+    P = alpha * (d22, d11) / det and Q = alpha * a12 / det are A^-1 scaled
+    by alpha, and b' = b / alpha. P and Q are 0 on guard cells, so the
+    guards stay zero. Nothing of the coefficient grids outlives the call.
     """
     a11, a12, a22, b1, b2 = coeffs
     m, n = a11.shape[-2:]
@@ -366,7 +357,33 @@ def _jacobi(coeffs, u0, v0, alpha, iters):
     p = lay.put(alpha * d22 / det, alpha * d11 / det)
     q = lay.put(alpha * a12 / det)
     del d11, d22, det  # the tape sets the memory peak; hold nothing more
-    b = lay.put(b1 / alpha, b2 / alpha)
+    return lay, alpha, p, q, lay.put(b1 / alpha, b2 / alpha)
+
+
+def _jacobi(system, u0, v0, iters):
+    """Fixed number of coupled Jacobi sweeps on the Euler-Lagrange system.
+
+    Each sweep solves the per-pixel 2x2 system exactly against the
+    neighbor sums of the previous iterate. `system` is `_predivide`'s
+    pre-divided form of the coefficients, and the start is (..., M, N)
+    grids; leading dims are a batch of independent grids. The flow
+    w = (u, v) is carried as one stacked (..., 2, L) span in the
+    `_Guarded` layout. A sweep is the residual r' = nsum(w) - b' and the
+    solve w = P * r' - Q * swap(r'), 7 numpy calls.
+
+    The sweep runs in the span's row blocks (`_Guarded.blocks`), solving
+    each block after the next block's residual: that residual reads the
+    block's last row, which must still hold w_k. Every cell sees the same
+    operations in the same order, so any blocking gives the same bytes.
+
+    Returns the final flow plus the tape for the adjoint sweep,
+    (layout, alpha, P, Q, residuals): everything `_jacobi_adj` reads and
+    nothing more. The residuals r'_k = r_k / alpha are one (K, ..., 2, L)
+    array, so the tape holds (2K + 3) * M * (N + 1) floats per grid; no
+    iterate is kept, as the coefficient cotangents are bilinear in the
+    cotangents and residuals.
+    """
+    lay, alpha, p, q, b = system
     buf, w = lay.buffer(lay.put(u0, v0))
     w += 0.0  # -0.0 to 0.0, so no neighbour sum is -0.0 (0.0 + a never is)
     tmp = np.empty(lay.lead + (2, lay.blocks[0].stop))
@@ -542,33 +559,43 @@ class FlowEstimator:
                 if cfg.warp:
                     i2, wctx = _warp(i2, u, v)
             ix, iy, it = _derivatives(i1, i2)
+            del i2  # a warped frame dies with its derivatives
             start = (np.zeros(u.shape),) * 2 if cfg.warp else (u, v)
-            su, sv, jtape = _jacobi(_coefficients(ix, iy, it), *start,
-                                    cfg.alpha, cfg.iterations)
+            # the coefficient grids die once their pre-divided form exists
+            su, sv, jtape = _jacobi(_predivide(_coefficients(ix, iy, it), cfg.alpha),
+                                    *start, cfg.iterations)
             u, v = (u + su, v + sv) if cfg.warp else (su, sv)
             levels.append((ix, iy, it, jtape, wctx))
         return u, v, levels[::-1]
 
     def _backward(self, gu, gv, levels):
+        """The input gradients from the flow cotangent (gu, gv). Consumes
+        `levels`, the forward's tape: each level is taken off the list when
+        the reverse pass reaches it, and its arrays die with their last
+        reader, so the finest level's Jacobi tape is gone before its
+        coefficient, derivative and warp adjoints run."""
         cfg = self.config
+        shapes = [level[0].shape[-2:] for level in levels]
         grads = []
-        for lev, (ix, iy, it, jtape, wctx) in enumerate(levels):
+        for lev in range(len(shapes)):
+            ix, iy, it, jtape, wctx = levels.pop(0)
             gu0, gv0, gcoef = _jacobi_adj(gu, gv, jtape)
+            del jtape
             if not cfg.warp:  # the solve started from the upsampled flow
                 gu, gv = gu0, gv0
             g1, g2 = _derivatives_adj(*_coefficients_adj(ix, iy, it, *gcoef))
-            del gu0, gv0, gcoef  # the warp adjoint below sets the memory peak
+            del ix, iy, it, gu0, gv0, gcoef  # all read: free them before the warp adjoint
             if wctx is not None:
                 g2, gu_w, gv_w = _warp_adj(g2, wctx)
                 gu = gu + gu_w
                 gv = gv + gv_w
             grads.append((g1, g2))
-            if lev < cfg.pyramid_levels - 1:
-                mc, nc = levels[lev + 1][0].shape[-2:]
+            if lev < len(shapes) - 1:
+                mc, nc = shapes[lev + 1]
                 gu = 2.0 * _up2_adj(gu, mc, nc)
                 gv = 2.0 * _up2_adj(gv, mc, nc)
-        for lev in range(cfg.pyramid_levels - 1, 0, -1):
-            m, n = levels[lev - 1][0].shape[-2:]
+        for lev in range(len(shapes) - 1, 0, -1):
+            m, n = shapes[lev - 1]
             for fine, coarse in zip(grads[lev - 1], grads[lev]):
                 fine += _down2_adj(coarse, m, n)
         return grads[0]
@@ -578,13 +605,17 @@ class FlowEstimator:
         return FlowField(self.value_and_vjp(frame1, frame2)[0])
 
     def value_and_vjp(self, frame1, frame2):
-        """One forward pass returning the flow and a reusable VJP closure.
+        """One forward pass returning the flow and a VJP closure.
 
         The frames are one (C, M, N) pair, or (B, C, M, N) stacks of B
         pairs solved in one batch: the flow is then (B, 2, M, N) and each
         pair's flow and gradients are bitwise those of its own call. The
         closure maps a cotangent shaped like the flow to the pair of
-        frame-shaped input gradients; it may be called repeatedly. A
+        frame-shaped input gradients. Its first call consumes the
+        forward's tape, freeing each level's arrays as the reverse pass
+        leaves them; a repeat call solves the frames again, under the
+        same error state, and gets the same bytes. The frames are held by
+        reference, not copied, so they must not change between calls. A
         forward that overflows, divides by zero or forms a NaN raises
         FloatingPointError, naming the estimator's label and alpha, instead
         of returning a non-finite flow.
@@ -593,12 +624,16 @@ class FlowEstimator:
         lead = f1.shape[:-3]
         if lead == (1,):  # a batch of one runs as the pair: the same numbers,
             f1, f2 = f1[0], f2[0]  # and less overhead in every numpy call
-        try:
-            with np.errstate(over="raise", divide="raise", invalid="raise"):
-                u, v, tape = self._forward(f1, f2)
-        except FloatingPointError as exc:
-            raise FloatingPointError(f"estimator {self.label!r} (alpha = "
-                                     f"{self.config.alpha!r}): {exc}") from None
+
+        def forward():
+            try:
+                with np.errstate(over="raise", divide="raise", invalid="raise"):
+                    return self._forward(f1, f2)
+            except FloatingPointError as exc:
+                raise FloatingPointError(f"estimator {self.label!r} (alpha = "
+                                         f"{self.config.alpha!r}): {exc}") from None
+
+        u, v, *tapes = forward()  # the tape, until the first vjp call takes it
         solved = np.stack([u, v], axis=-3)
         flow = solved.reshape(lead + solved.shape[-3:])
 
@@ -607,10 +642,27 @@ class FlowEstimator:
             if ct.shape != flow.shape:
                 raise ShapeError(f"cotangent shape {ct.shape} != flow {flow.shape}")
             ct = ct.reshape(solved.shape)
-            grads = self._backward(ct[..., 0, :, :], ct[..., 1, :, :], tape)
+            try:
+                levels = tapes.pop()  # one call takes the tape, even from two threads
+            except IndexError:  # a repeat call solves again
+                levels = forward()[2]
+            grads = self._backward(ct[..., 0, :, :], ct[..., 1, :, :], levels)
             return tuple(g.reshape(lead + g.shape[-3:]) for g in grads)
 
         return flow, vjp
+
+    def tape_bytes(self, shape, batch: int = 1) -> int:
+        """Bytes of the Jacobi tapes that one forward keeps for its VJP,
+        for `batch` pairs of frames whose last two dims `shape` gives:
+        (2K + 3) * M * (N + 1) float64 values per pair and pyramid level,
+        P, Q and the K residuals in the guarded layout. Known before any
+        solve, and the largest term of a forward plus VJP's memory."""
+        m, n = shape[-2:]
+        total = 0
+        for _ in range(self.config.pyramid_levels):
+            total += (2 * self.config.iterations + 3) * m * (n + 1)
+            m, n = (m + 1) // 2, (n + 1) // 2
+        return 8 * batch * total
 
 
 def finite_diff_check(estimator: FlowEstimator, frame1, frame2, loss, h: float,

@@ -78,12 +78,15 @@ def patch_equivalent_epsilon(patch_pixels: int, image_pixels: int,
 
 @dataclass(frozen=True)
 class TraceSummary:
-    """The optimizer trace in a report: accepted steps, first and last
-    loss, what the optimizer spent (value-only and gradient evaluations),
-    why it stopped and how many trials each accepted step rejected. The
-    counts are deterministic."""
+    """The optimizer trace in a report: accepted steps, the loss at the
+    start (the unattacked objective) and after the first and last step,
+    what the optimizer spent (value-only and gradient evaluations), why
+    it stopped and how many trials each accepted step rejected. The
+    counts are deterministic. `loss_init` is None in reports written
+    before it existed."""
 
     steps_taken: int
+    loss_init: float | None = field(default=None, kw_only=True)
     loss_first: float | None
     loss_last: float | None
     value_evals: int = 0
@@ -98,9 +101,11 @@ class TraceSummary:
     def from_trace(trace) -> "TraceSummary":
         spent = (trace.value_evals, trace.grad_evals, trace.stop_reason,
                  trace.backtracks)
+        start = trace.initial_value if math.isfinite(trace.initial_value) else None
         if len(trace) == 0:
-            return TraceSummary(0, None, None, *spent)
-        return TraceSummary(len(trace), trace.values[0], trace.values[-1], *spent)
+            return TraceSummary(0, None, None, *spent, loss_init=start)
+        return TraceSummary(len(trace), trace.values[0], trace.values[-1], *spent,
+                            loss_init=start)
 
 
 @dataclass(frozen=True)

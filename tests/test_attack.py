@@ -824,6 +824,51 @@ class TestOneSolvePerFrameStack:
         assert forwards.vjps and all(ref() is None for ref in forwards.vjps)
 
 
+@pytest.fixture
+def forward_counts(monkeypatch):
+    """How often the estimator was asked for a solve (`value_and_vjp`) and
+    how often it ran a forward pass (`FlowEstimator._forward`)."""
+    counts = SimpleNamespace(solves=0, forwards=0)
+    value_and_vjp, forward = FlowEstimator.value_and_vjp, FlowEstimator._forward
+
+    def solve(estimator, frame1, frame2):
+        counts.solves += 1
+        return value_and_vjp(estimator, frame1, frame2)
+
+    def run_forward(estimator, frame1, frame2):
+        counts.forwards += 1
+        return forward(estimator, frame1, frame2)
+    monkeypatch.setattr(FlowEstimator, "value_and_vjp", solve)
+    monkeypatch.setattr(FlowEstimator, "_forward", run_forward)
+    return counts
+
+
+class TestNoHiddenResolve:
+    """A VJP's first call consumes its tape and a repeat call solves again.
+    No attack calls a VJP twice, so every forward pass is a solve it
+    asked for."""
+
+    @pytest.mark.parametrize("method", ["clipping", "cov", "ifgsm"])
+    def test_single_pair(self, pyramid_estimator, small_pair, forward_counts,
+                         method):
+        f1, f2, _ = small_pair
+        if method == "ifgsm":
+            ifgsm_attack(pyramid_estimator, f1, f2, IfgsmConfig(5e-3, steps=3))
+        else:
+            pcfa_attack(pyramid_estimator, f1, f2, PcfaConfig(
+                epsilon2=5e-3, steps=4, box=BoxConstraint(method)))
+        assert forward_counts.forwards == forward_counts.solves > 3
+
+    @pytest.mark.parametrize("size", [16, 128])  # groups of 4, single pairs
+    def test_universal(self, pyramid_estimator, forward_counts, size):
+        from flowattack.universal import UniversalTrainConfig, train_universal
+        pairs = [make_pair(60 + k, size, size)[:2] for k in range(5)]
+        train_universal(pyramid_estimator, pairs, UniversalTrainConfig(
+            PcfaConfig(epsilon2=5e-3, target=Target.negative_initial()),
+            epochs=1, batch_size=4, steps_per_batch=2))
+        assert forward_counts.forwards == forward_counts.solves > 5
+
+
 def traced_peak(fn):
     """Peak traced allocation, in bytes, while `fn()` runs."""
     tracemalloc.start()

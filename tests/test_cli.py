@@ -11,7 +11,7 @@ from flowattack import cli
 from flowattack import io as flowio
 from flowattack.cli import main
 from flowattack.core import FlowField, Perturbation, PerturbMode
-from flowattack.diffflow import EstimatorConfig, builtin_estimators
+from flowattack.diffflow import EstimatorConfig, FlowEstimator, builtin_estimators
 from flowattack.synthetic import make_pair
 
 
@@ -70,6 +70,20 @@ class TestAttackCommand:
         failed = (LbfgsParams().max_backtracks
                   if trace["stop_reason"] == "line_search" else 0)
         assert trace["value_evals"] == sum(b + 1 for b in trace["backtracks"]) + failed
+
+    @pytest.mark.parametrize("method", ["pcfa", "ifgsm"])
+    def test_report_loss_init(self, tmp_path, method):
+        """The report holds the objective at the start, which an L-BFGS
+        step only lowers, and I-FGSM's first step records as its first."""
+        out = tmp_path / "out"
+        assert run(["--out", out, "--seed", 3, "--deterministic", "attack",
+                    "--method", method, "--eps2", "5e-3", "--steps", "2"]) == 0
+        trace = json.loads((out / "report.jsonl").read_text())["trace"]
+        assert isinstance(trace["loss_init"], float)
+        if method == "pcfa":
+            assert trace["loss_init"] > trace["loss_first"]
+        else:
+            assert trace["loss_init"] == trace["loss_first"]
 
     def test_deterministic_reports_byte_identical(self, tmp_path,
                                                   tiny_manifest):
@@ -1002,3 +1016,67 @@ class TestNumericSettings:
         if code == 3:  # a failed solve or gradient gate names its estimator
             labels = lines.split(" = ")[1:] or list(builtin_estimators())
             assert any(f"estimator {label!r}" in err for label in labels), err
+
+
+class TestMemoryRefusal:
+    """A run whose Jacobi tape exceeds physical memory is refused before
+    it solves anything, where numpy would fail to allocate it."""
+
+    @pytest.mark.skipif(cli._physical_memory() is None,
+                        reason="sysconf does not report physical memory")
+    @pytest.mark.parametrize("command,inputs", [
+        ("attack", []),  # the seeded 64x64 synthetic pair
+        ("attack", SMALL_RUNS["attack"]["frames"]),
+        ("universal", SMALL_RUNS["universal"]["manifest"]),
+    ])
+    def test_huge_iterations_refused(self, tmp_path, capsys, monkeypatch,
+                                     small_inputs, command, inputs):
+        import time
+        monkeypatch.chdir(small_inputs)
+        config = tmp_path / "run.ini"
+        config.write_text("[estimator]\niterations = 1000000000\n")
+        out = tmp_path / "out"
+        start = time.perf_counter()
+        code = run(["--config", config, "--out", out, command, *inputs])
+        took = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code == 1 and took < 10
+        assert err.startswith("usage error: [estimator] iterations = 1000000000: "
+                              "the Jacobi tape of one "), err
+        assert "GiB" in err and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.skipif(cli._physical_memory() is None,
+                        reason="sysconf does not report physical memory")
+    def test_transfer_names_the_estimator_section(self, tmp_path, capsys,
+                                                  monkeypatch, small_inputs):
+        monkeypatch.chdir(small_inputs)
+        delta = tmp_path / "delta.npz"
+        flowio.write_perturbation(delta, Perturbation(PerturbMode.JOINT,
+                                                      np.zeros((1, 16, 16))))
+        config = tmp_path / "run.ini"
+        config.write_text("[estimator.big]\niterations = 1000000000\n")
+        out = tmp_path / "out"
+        code = run(["--config", config, "--out", out, "transfer", "--estimators",
+                    "hs,big", "--perturbations", delta, "--manifest", "pairs.txt"])
+        err = capsys.readouterr().err
+        assert code == 1 and err.count("\n") == 1
+        assert err.startswith("usage error: [estimator.big] iterations = 1000000000: "), err
+        assert not out.exists()
+
+    def test_unknown_memory_refuses_nothing(self, monkeypatch):
+        def no_sysconf(name):
+            raise ValueError(f"unrecognized configuration name {name!r}")
+        monkeypatch.setattr(cli.os, "sysconf", no_sysconf)
+        assert cli._physical_memory() is None
+        huge = FlowEstimator(EstimatorConfig(iterations=10 ** 9), label="huge")
+        cli._check_fits(huge, (3, 375, 1242))  # no usage error
+
+    def test_tape_within_memory_runs(self, monkeypatch):
+        est = builtin_estimators()["hs"]
+        need = est.tape_bytes((64, 64))
+        monkeypatch.setattr(cli, "_physical_memory", lambda: need)
+        cli._check_fits(est, (1, 64, 64))
+        monkeypatch.setattr(cli, "_physical_memory", lambda: need - 1)
+        with pytest.raises(cli.UsageError, match=r"\[estimator\] iterations = 60"):
+            cli._check_fits(est, (1, 64, 64))

@@ -118,6 +118,27 @@ class TestAttackReport:
         assert back.trace.backtracks == ()
         assert back == self.make_report()
 
+    def test_reads_report_without_loss_init(self):
+        import json
+        from dataclasses import replace
+        report = replace(self.make_report(),
+                         trace=TraceSummary(12, 2.0, 1.2, loss_init=2.5))
+        record = json.loads(report.to_json_line())
+        assert record["trace"]["loss_init"] == 2.5
+        del record["trace"]["loss_init"]
+        back = AttackReport.from_json_line(json.dumps(record))
+        assert back.trace.loss_init is None
+        assert back == self.make_report()
+
+    def test_loss_init_is_the_start_objective(self):
+        from flowattack.optim import OptimTrace
+        summary = TraceSummary.from_trace(
+            OptimTrace(values=[1.5, 1.2], initial_value=2.5))
+        assert (summary.loss_init, summary.loss_first, summary.loss_last) == \
+            (2.5, 1.5, 1.2)
+        # a trace that never evaluated its start reports none
+        assert TraceSummary.from_trace(OptimTrace()).loss_init is None
+
     def test_equal_reports_serialize_identically(self):
         assert self.make_report().to_json_line() == self.make_report().to_json_line()
 
@@ -133,13 +154,13 @@ class TestAttackReport:
         import json
         from dataclasses import replace
         line = replace(self.make_report(), trace=TraceSummary(
-            2, 2.0, 1.2, 3, 3, "max_steps", [1, 0])).to_json_line()
+            2, 2.0, 1.2, 3, 3, "max_steps", [1, 0], loss_init=2.5)).to_json_line()
         assert list(json.loads(line)) == [
             "estimator", "eps2", "mu", "loss", "target", "box", "mode",
             "strength", "robustness", "l2", "linf", "steps", "seed",
             "runtime_ms", "initial_quality", "trace"]
         assert line.endswith(
-            '"trace":{"steps_taken":2,"loss_first":2.0,"loss_last":1.2,'
+            '"trace":{"steps_taken":2,"loss_init":2.5,"loss_first":2.0,"loss_last":1.2,'
             '"value_evals":3,"grad_evals":3,"stop_reason":"max_steps",'
             '"backtracks":[1,0]}}')
 
