@@ -101,7 +101,7 @@ def _check_budget(name: str, budget: float, steps: int):
 @dataclass(frozen=True)
 class PcfaConfig:
     """All attack hyperparameters. mu=None picks the default pairing for
-    the budget; seed is echoed into reports and drives dataset shuffling."""
+    the budget."""
 
     epsilon2: float = 5e-3
     mu: float | None = None
@@ -110,7 +110,6 @@ class PcfaConfig:
     target: Target = Target(TargetKind.ZERO)
     box: BoxConstraint = BoxConstraint.CLIPPING
     mode: PerturbMode = PerturbMode.DISJOINT
-    seed: int = 0
 
     def __post_init__(self):
         _check_budget("epsilon2", self.epsilon2, self.steps)
@@ -647,6 +646,14 @@ def _setup_pair(estimator: FlowEstimator, frame1, frame2, target: Target,
     return i1, i2, FlowField(flows[0]), target.resolve(flows[0])
 
 
+def _perturbation(mode: PerturbMode, d1, d2) -> Perturbation:
+    """The fields d1, d2 of an attack as a Perturbation; a joint attack's
+    two fields are its one shared field."""
+    if mode == PerturbMode.JOINT:
+        return Perturbation(mode, d1)
+    return Perturbation(mode, d1, d2)
+
+
 def _attack_result(solves: _SolveCache, estimator, mode: PerturbMode, d1, d2,
                    p1, p2, flow_init: FlowField, target, trace: OptimTrace,
                    box_seen, eps_hat=None, mu=None) -> AttackResult:
@@ -655,10 +662,7 @@ def _attack_result(solves: _SolveCache, estimator, mode: PerturbMode, d1, d2,
     frames were the last ones solved, else a new one. The result holds
     copies, never the cache or a VJP, so no tape outlives the attack."""
     flows = solves.solve(estimator, p1[None], p2[None], keep=False)[0]
-    if mode == PerturbMode.JOINT:
-        pert = Perturbation(PerturbMode.JOINT, d1)
-    else:
-        pert = Perturbation(PerturbMode.DISJOINT, d1, d2)
+    pert = _perturbation(mode, d1, d2)
     return AttackResult(
         perturbation=pert,
         frame1_adv=Image(p1),

@@ -160,7 +160,10 @@ def _parse(hint, text: str):
     """A settings value as the type of its config field; `auto` reads as
     None where the field may be None (the default penalty weight)."""
     if hint is bool:
-        return _parse_bool(text)
+        try:
+            return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
+        except KeyError:
+            raise ValueError(f"not a boolean: {text!r}") from None
     if hint == float | None:
         return None if text == "auto" else float(text)
     return hint(text)  # float, int or an enum
@@ -171,15 +174,6 @@ def _format(value) -> str:
     value = getattr(value, "kind", value)  # a Target by its kind
     text = str(getattr(value, "value", value))  # an enum by its value
     return {"None": "auto", "True": "true", "False": "false"}.get(text, text)
-
-
-def _parse_bool(text: str) -> bool:
-    low = str(text).strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
 
 
 def _read_target(given: dict[str, str]) -> Target:
@@ -335,25 +329,35 @@ def _write_pair_artifacts(out_dir: Path, stem: str, result: AttackResult):
     flowio.write_image_png(out_dir / f"{stem}_img_adv2.png", result.frame2_adv)
 
 
+def _ground_truth(gt, grid):
+    """An entry's ground truth, None, a FlowField or a flow file's path,
+    as None or the (flow, valid mask) pair that scores the unattacked
+    flow; a format without a mask marks every pixel valid. A ground truth
+    on another (M, N) grid than the frames' is a ShapeError, and one that
+    marks no pixel valid a FormatError, each naming the file."""
+    if gt is None:
+        return None
+    flow, mask = flowio.read_flow_any(gt) if isinstance(gt, str) else (gt, None)
+    if flow.data.shape[1:] != grid:
+        raise ShapeError(f"{gt}: ground truth grid {flow.data.shape[1:]} does "
+                         f"not match the frames' {grid}")
+    mask = np.ones(grid, dtype=bool) if mask is None else mask
+    if not mask.any():
+        raise flowio.FormatError(f"{gt}: ground truth marks no pixel valid")
+    return flow, mask
+
+
 def _attack_one(payload):
     (estimator, cfg, entry, stem, out_dir, seed, deterministic) = payload
-    frame1 = entry[0] if not isinstance(entry[0], str) else flowio.read_image(entry[0])
-    frame2 = entry[1] if not isinstance(entry[1], str) else flowio.read_image(entry[1])
+    frame1, frame2 = (flowio.read_image(f) if isinstance(f, str) else f
+                      for f in entry[:2])
     _check_fits(estimator, frame1.data.shape)
-    gt = entry[2]
-    if isinstance(gt, str):
-        gt = flowio.read_flow_any(gt)
+    gt = _ground_truth(entry[2], frame1.data.shape[1:])
     start = time.perf_counter()
     attack = ifgsm_attack if isinstance(cfg, IfgsmConfig) else pcfa_attack
     result = attack(estimator, frame1, frame2, cfg)
     runtime_ms = 1000.0 * (time.perf_counter() - start)
-    initial_quality = None
-    if gt is not None:
-        gt_flow, gt_mask = gt if isinstance(gt, tuple) else (gt, None)
-        if gt_mask is not None:
-            initial_quality = masked_aee(result.flow_init, gt_flow, gt_mask)
-        else:
-            initial_quality = attack_strength(result.flow_init, gt_flow)
+    initial_quality = None if gt is None else masked_aee(result.flow_init, *gt)
     _write_pair_artifacts(Path(out_dir), stem, result)
     return AttackReport(
         estimator=estimator.label,
@@ -381,8 +385,7 @@ def cmd_attack(args) -> int:
     method = config.setdefault("attack", {}).setdefault("method", "pcfa")  # echoed
     if method not in _METHODS:
         raise UsageError(f"unknown attack method {method!r}")
-    cfg = _build(_METHODS[method], "attack", config,
-                 **({"seed": args.seed} if method == "pcfa" else {}))
+    cfg = _build(_METHODS[method], "attack", config)
 
     dataset = config.get("dataset", {})
     manifest = dataset.get("manifest")
@@ -426,8 +429,9 @@ def cmd_attack(args) -> int:
 def cmd_universal(args) -> int:
     run, config = _settings(args)
     estimator = _build_estimator(config)
-    cfg = _build(PcfaConfig, "attack", config, seed=args.seed)
-    ucfg = _build(UniversalTrainConfig, "universal", config, attack=cfg)
+    cfg = _build(PcfaConfig, "attack", config)
+    ucfg = _build(UniversalTrainConfig, "universal", config, attack=cfg,
+                  seed=args.seed)
     pairs = _read_manifest(config, "universal training").load_pairs()
     _check_fits(estimator, pairs[0][0].data.shape)
 
@@ -445,7 +449,7 @@ def cmd_universal(args) -> int:
         "epochs": ucfg.epochs,
         "batch_size": ucfg.batch_size,
         "steps_per_batch": ucfg.steps_per_batch,
-        "seed": cfg.seed,
+        "seed": ucfg.seed,
         "l2": joint_l2_norm(pert),
         "linf": joint_linf_norm(pert),
         "runtime_ms": 0.0 if args.deterministic else runtime_ms,

@@ -286,10 +286,10 @@ class _Guarded:
         self.blocks = [slice(i * self.stride, min(i + rows, m) * self.stride)
                        for i in range(0, m, rows)]
 
-    def put(self, *grids, guard=0.0):
+    def put(self, *grids):
         """Stack (*lead, M, N) grids into a (*lead, len(grids), L) span array."""
         m, n = self.shape
-        out = np.full(self.lead + (len(grids), m, n + 1), guard)
+        out = np.zeros(self.lead + (len(grids), m, n + 1))
         for k, grid in enumerate(grids):
             out[..., k, :, :n] = grid
         return out.reshape(self.lead + (len(grids), -1))

@@ -16,10 +16,10 @@ import numpy as np
 
 from . import io as flowio
 from .attack import BoxConstraint, Parametrization, PcfaConfig, \
-    PenalizedObjective, TargetKind, _as_image, _frame_pairs
+    PenalizedObjective, TargetKind, _as_image, _frame_pairs, _perturbation
 # unused here; bench/spans.py patches this name and fails without it
 from .attack import penalty_value_grad  # noqa: F401
-from .core import Image, Perturbation, PerturbMode, ShapeError, clip01
+from .core import Image, Perturbation, ShapeError, clip01
 from .diffflow import FlowEstimator
 from .optim import LbfgsParams, lbfgs_minimize
 
@@ -83,8 +83,8 @@ class DatasetManifest:
 class UniversalTrainConfig:
     """Epoch/batch schedule around an inner attack configuration.
 
-    The attack's mode picks the perturbation type, its seed drives the
-    shuffle, and its box constraint must be clipping: the change of
+    `seed` drives the shuffle. The attack's mode picks the perturbation
+    type, and its box constraint must be clipping: the change of
     variables is tied to one specific frame and cannot be shared.
     """
 
@@ -92,6 +92,7 @@ class UniversalTrainConfig:
     epochs: int = 25
     batch_size: int = 4
     steps_per_batch: int = 1
+    seed: int = 0
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1 or self.steps_per_batch < 1:
@@ -140,7 +141,7 @@ def train_universal(estimator: FlowEstimator, pairs,
                for i1, i2 in pairs]
 
     x = param.start(*pairs[0])
-    rng = np.random.default_rng(atk.seed)
+    rng = np.random.default_rng(cfg.seed)
     params = LbfgsParams(max_steps=cfg.steps_per_batch)
     n = len(pairs)
     for _ in range(cfg.epochs):
@@ -151,6 +152,4 @@ def train_universal(estimator: FlowEstimator, pairs,
             x, _ = lbfgs_minimize(PenalizedObjective(
                 estimator, param, batch, atk.loss, eps_hat, mu), x, params)
 
-    if atk.mode == PerturbMode.JOINT:
-        return Perturbation(PerturbMode.JOINT, x.reshape(shape))
-    return Perturbation(PerturbMode.DISJOINT, *param.fields(x, shape))
+    return _perturbation(atk.mode, *param.fields(x, shape))

@@ -142,7 +142,7 @@ def test_criterion_2_constraint_exactness():
         eps2 = float(rng.choice(SWEEP_BUDGETS))
         f1, f2, _ = make_pair(int(rng.integers(1 << 30)), 24, 24)
         cfg = PcfaConfig(epsilon2=eps2, steps=10, loss=loss, target=tgt,
-                         box=box, mode=mode, seed=k)
+                         box=box, mode=mode)
         result = pcfa_attack(est, f1, f2, cfg)
         if result.l2_norm > 1.01 * result.eps_hat:
             failures.append((k, "norm", result.l2_norm, result.eps_hat))
@@ -209,10 +209,9 @@ def test_criterion_5_universal_ordering(hs, suite):
 
     data = [(f1, f2) for f1, f2, _ in suite]
     joint_cfg = PcfaConfig(epsilon2=5e-3, steps=20, loss=LossKind.AEE,
-                           box=BoxConstraint.CLIPPING, mode=PerturbMode.JOINT,
-                           seed=12)
+                           box=BoxConstraint.CLIPPING, mode=PerturbMode.JOINT)
     pert = train_universal(hs, data, UniversalTrainConfig(
-        attack=joint_cfg, epochs=25, batch_size=4, steps_per_batch=1))
+        attack=joint_cfg, epochs=25, batch_size=4, steps_per_batch=1, seed=12))
     vals = []
     for f1, f2, _ in suite:
         a1, a2 = apply_universal(pert, f1, f2)

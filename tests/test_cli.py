@@ -12,6 +12,7 @@ from flowattack import io as flowio
 from flowattack.cli import main
 from flowattack.core import FlowField, Perturbation, PerturbMode
 from flowattack.diffflow import EstimatorConfig, FlowEstimator, builtin_estimators
+from flowattack.evaluation import attack_strength, masked_aee
 from flowattack.synthetic import make_pair
 
 
@@ -243,6 +244,106 @@ class TestAttackCommand:
         assert values[0] is not None
 
 
+class TestGroundTruth:
+    """Every entry's ground truth takes one path: it is read and checked
+    against the frames before the pair's solve, a format without a mask
+    counts every pixel valid, and one `masked_aee` call scores it."""
+
+    @pytest.fixture
+    def forwards(self, monkeypatch):
+        calls = []
+        forward = FlowEstimator._forward
+
+        def counted(self, *args):
+            calls.append(args[0].shape)
+            return forward(self, *args)
+        monkeypatch.setattr(FlowEstimator, "_forward", counted)
+        return calls
+
+    @staticmethod
+    def pairs(root, *truths):
+        """A manifest of 16x16 pairs on disk, the k-th with the k-th of
+        `truths`: a write function of a path, and its file name."""
+        lines = []
+        for k, (write, name) in enumerate(truths):
+            f1, f2, _ = make_pair(60 + k, 16, 16)
+            flowio.write_image_png(root / f"p{k}_1.png", f1, bit_depth=16)
+            flowio.write_image_png(root / f"p{k}_2.png", f2, bit_depth=16)
+            write(root / name)
+            lines.append(f"p{k}_1.png p{k}_2.png {name}")
+        (root / "pairs.txt").write_text("\n".join(lines) + "\n")
+        return root / "pairs.txt"
+
+    BAD = {
+        "no-valid-pixel": (lambda p: flowio.write_kitti_flow(
+            p, FlowField(np.ones((2, 16, 16))), np.zeros((16, 16), bool)),
+            "gt.png", "i/o error: {}: ground truth marks no pixel valid"),
+        "flo-on-another-grid": (lambda p: flowio.write_flo(
+            p, FlowField(np.zeros((2, 8, 16)))), "gt.flo",
+            "shape mismatch: {}: ground truth grid (8, 16) does not match "
+            "the frames' (16, 16)"),
+        "png-on-another-grid": (lambda p: flowio.write_kitti_flow(
+            p, FlowField(np.zeros((2, 16, 12)))), "gt.png",
+            "shape mismatch: {}: ground truth grid (16, 12) does not match "
+            "the frames' (16, 16)"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD))
+    @pytest.mark.parametrize("method", ["pcfa", "ifgsm"])
+    def test_bad_ground_truth_fails_before_the_solve(self, tmp_path, capsys,
+                                                     forwards, case, method):
+        write, name, message = self.BAD[case]
+        manifest = self.pairs(tmp_path, (write, name))
+        out = tmp_path / "out"
+        assert run(["--out", out, "attack", "--manifest", manifest,
+                    "--method", method, "--steps", 2]) == 2
+        assert capsys.readouterr().err == message.format(tmp_path / name) + "\n"
+        assert forwards == []
+        assert not out.exists()
+
+    def test_later_bad_ground_truth_costs_its_pair_no_solve(
+            self, tmp_path, capsys, forwards):
+        good = (lambda p: flowio.write_flo(p, FlowField(np.zeros((2, 16, 16)))),
+                "p0.flo")
+        alone = tmp_path / "alone"
+        alone.mkdir()
+        assert run(["--out", alone / "out", "attack", "--manifest",
+                    self.pairs(alone, good), "--steps", 2]) == 0
+        solved = len(forwards)
+        forwards.clear()
+        write, name, _ = self.BAD["no-valid-pixel"]
+        out = tmp_path / "out"
+        assert run(["--out", out, "attack", "--manifest",
+                    self.pairs(tmp_path, good, (write, name)),
+                    "--steps", 2]) == 2
+        assert "ground truth marks no pixel valid" in capsys.readouterr().err
+        assert len(forwards) == solved > 0
+        assert (out / "pair000_flow_adv.png").is_file()
+        assert not (out / "pair001_flow_adv.png").exists()
+
+    def test_scored_over_its_valid_pixels(self, tmp_path):
+        """A .flo ground truth scores every pixel, a flow PNG its valid
+        ones, both on the unattacked flow."""
+        rng = np.random.default_rng(4)
+        truth = FlowField(np.round(rng.normal(0, 2, (2, 16, 16)) * 64) / 64)
+        mask = rng.random((16, 16)) < 0.5
+        manifest = self.pairs(
+            tmp_path, (lambda p: flowio.write_flo(p, truth), "p0.flo"),
+            (lambda p: flowio.write_kitti_flow(p, truth, mask), "p1.png"))
+        out = tmp_path / "out"
+        assert run(["--out", out, "--deterministic", "attack", "--manifest",
+                    manifest, "--steps", 1]) == 0
+        records = [json.loads(line)
+                   for line in (out / "report.jsonl").read_text().splitlines()]
+        hs = builtin_estimators()["hs"]
+        flows = [hs.estimate_flow(flowio.read_image(tmp_path / f"p{k}_1.png"),
+                                  flowio.read_image(tmp_path / f"p{k}_2.png"))
+                 for k in range(2)]
+        assert records[0]["initial_quality"] == attack_strength(flows[0], truth)
+        assert records[1]["initial_quality"] == masked_aee(
+            flows[1], flowio.read_flow_any(tmp_path / "p1.png")[0], mask)
+
+
 class TestConfigFile:
     def test_config_drives_attack(self, tmp_path, tiny_manifest):
         cfg = tmp_path / "run.ini"
@@ -335,6 +436,14 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("text,value", [
+        ("1", True), ("yes", True), ("True", True), ("ON", True),
+        ("0", False), ("no", False), ("false", False), (" Off ", False)])
+    def test_boolean_spellings(self, text, value):
+        assert cli._parse(bool, text) is value
+        with pytest.raises(ValueError, match="^not a boolean: 'maybe'$"):
+            cli._parse(bool, "maybe")
 
     @pytest.mark.parametrize("flags,text", [
         (["--eps2", "nan"], None), (["--eps2", "inf"], None),
@@ -580,6 +689,17 @@ class TestEchoAndDocs:
         assert files == sorted(p.relative_to(again) for p in again.iterdir())
         for path in files:
             assert (first / path).read_bytes() == (again / path).read_bytes(), path
+
+    def test_readme_quickstart_runs(self, capsys):
+        """The README's PCFA and I-FGSM quickstart blocks, which read no
+        file, run as written, the second in the first's namespace."""
+        blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+        assert "pcfa_attack(" in blocks[0] and "ifgsm_attack(" in blocks[1]
+        namespace = {}
+        for block in blocks[:2]:
+            exec(compile(block, str(README), "exec"), namespace)
+        printed = capsys.readouterr().out
+        assert "strength:" in printed and "I-FGSM L2:" in printed
 
     def test_readme_table_lists_what_each_run_reads(self):
         documented = readme_settings()

@@ -58,6 +58,14 @@ class TestMaskedAee:
         assert masked_aee(flow, ref, mask) == 0.0
         assert masked_aee(flow, ref, np.ones((2, 2), bool)) == pytest.approx(7 / 4)
 
+    @pytest.mark.parametrize("grid", [(1, 3), (7, 5), (64, 64), (375, 1242)])
+    def test_full_mask_is_attack_strength_bitwise(self, grid):
+        """A ground truth without a mask is scored with a full one, which
+        gives the unmasked mean endpoint distance to the last bit."""
+        rng = np.random.default_rng(grid)
+        a, b = rng.normal(0, 3, (2, 2) + grid)
+        assert masked_aee(a, b, np.ones(grid, bool)) == attack_strength(a, b)
+
     def test_empty_mask_rejected(self):
         with pytest.raises(ValueError):
             masked_aee(np.zeros((2, 2, 2)), np.zeros((2, 2, 2)),
@@ -229,8 +237,8 @@ class TestTransferMatrix:
             perts.append(train_universal(est, data, UniversalTrainConfig(
                 attack=PcfaConfig(epsilon2=5e-3, steps=20, loss=LossKind.AEE,
                                   box=BoxConstraint.CLIPPING,
-                                  mode=PerturbMode.JOINT, seed=3),
-                epochs=3, batch_size=2, steps_per_batch=1)))
+                                  mode=PerturbMode.JOINT),
+                epochs=3, batch_size=2, steps_per_batch=1, seed=3)))
         mat, valid = transfer_matrix([est_a, est_b], perts, data)
         assert valid.all()
         expected = np.array([[0.00823439, 0.00443508],

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -19,10 +20,9 @@ from flowattack.universal import (DatasetManifest, UniversalTrainConfig,
                                   apply_universal, train_universal)
 
 
-def joint_cfg(eps2=5e-3, seed=0, steps=20):
+def joint_cfg(eps2=5e-3, steps=20):
     return PcfaConfig(epsilon2=eps2, steps=steps, loss=LossKind.AEE,
-                      box=BoxConstraint.CLIPPING, mode=PerturbMode.JOINT,
-                      seed=seed)
+                      box=BoxConstraint.CLIPPING, mode=PerturbMode.JOINT)
 
 
 class TestConfig:
@@ -219,26 +219,36 @@ class TestTrainUniversal:
         suite = make_suite(3, seed=6, height=24, width=24)
         data = [(a, b) for a, b, _ in suite]
         pert = train_universal(fast_estimator, data, UniversalTrainConfig(
-            attack=joint_cfg(eps2=5e-3, seed=1), epochs=4, batch_size=2))
+            attack=joint_cfg(eps2=5e-3), epochs=4, batch_size=2, seed=1))
         assert joint_l2_norm(pert) <= 1.01 * scale_bound(5e-3, 24 * 24, 1)
 
     def test_shuffle_determinism(self, fast_estimator):
         suite = make_suite(3, seed=7, height=24, width=24)
         data = [(a, b) for a, b, _ in suite]
-        ucfg = UniversalTrainConfig(attack=joint_cfg(seed=9), epochs=3,
-                                    batch_size=2)
+        ucfg = UniversalTrainConfig(attack=joint_cfg(), epochs=3,
+                                    batch_size=2, seed=9)
         p1 = train_universal(fast_estimator, data, ucfg)
         p2 = train_universal(fast_estimator, data, ucfg)
         assert np.array_equal(p1.first, p2.first)
+
+    def test_seed_is_the_schedules(self, fast_estimator):
+        """The seed is the schedule's, which shuffles; a single-pair
+        attack reads none."""
+        assert "seed" not in {f.name for f in dataclasses.fields(PcfaConfig)}
+        suite = make_suite(3, seed=7, height=24, width=24)
+        data = [(a, b) for a, b, _ in suite]
+        p9, p10 = (train_universal(fast_estimator, data, UniversalTrainConfig(
+            attack=joint_cfg(), epochs=2, batch_size=2, seed=seed))
+            for seed in (9, 10))
+        assert not np.array_equal(p9.first, p10.first)
 
     def test_disjoint_mode_produces_two_fields(self, fast_estimator):
         suite = make_suite(2, seed=8, height=24, width=24)
         data = [(a, b) for a, b, _ in suite]
         cfg = PcfaConfig(epsilon2=5e-3, steps=20, loss=LossKind.AEE,
-                         box=BoxConstraint.CLIPPING, mode=PerturbMode.DISJOINT,
-                         seed=2)
+                         box=BoxConstraint.CLIPPING, mode=PerturbMode.DISJOINT)
         pert = train_universal(fast_estimator, data, UniversalTrainConfig(
-            attack=cfg, epochs=2, batch_size=2))
+            attack=cfg, epochs=2, batch_size=2, seed=2))
         assert pert.mode == PerturbMode.DISJOINT
         assert pert.second is not None
         assert joint_l2_norm(pert) <= 1.01 * scale_bound(5e-3, 24 * 24, 1)
@@ -294,8 +304,8 @@ class TestTrainUniversal:
         suite = make_suite(3, seed=7, height=24, width=24)
         data = [(a, b) for a, b, _ in suite]
         train_universal(fast_estimator, data, UniversalTrainConfig(
-            attack=joint_cfg(seed=9), epochs=2, batch_size=2,
-            steps_per_batch=steps))
+            attack=joint_cfg(), epochs=2, batch_size=2,
+            steps_per_batch=steps, seed=9))
         assert len(searches) == 4
         for points, trace in searches:
             assert len(trace) == steps
