@@ -471,23 +471,36 @@ class _SolveCache:
     whose tape the adjoint needs. A call with the kept key returns the
     kept solve; any other call drops it before its forward runs, so at
     most one tape is alive. The call's solve is kept, unless `keep` is
-    false: then the cache is left empty. The kept stacks are referenced,
-    not copied: callers pass arrays that nothing changes afterwards.
+    false: then the cache is left empty. `take` hands over the kept flows
+    of the frames it names, and nothing on a miss, and empties the cache.
+    The kept stacks are referenced, not copied: callers pass arrays that
+    nothing changes afterwards.
     """
 
     def __init__(self):
         self._kept = None  # (estimator, frames1, frames2, (flows, vjp))
 
-    def solve(self, estimator: FlowEstimator, frames1, frames2, keep=True):
+    def _holds(self, estimator, frames1, frames2) -> bool:
         kept = self._kept
-        if (kept is None or kept[0] is not estimator
-                or not _same_bytes(kept[1], frames1)
-                or not _same_bytes(kept[2], frames2)):
-            self._kept = kept = None  # its tape, before the forward builds one
-            kept = (estimator, frames1, frames2,
-                    estimator.value_and_vjp(frames1, frames2))
-        self._kept = kept if keep else None
+        return (kept is not None and kept[0] is estimator
+                and _same_bytes(kept[1], frames1) and _same_bytes(kept[2], frames2))
+
+    def solve(self, estimator: FlowEstimator, frames1, frames2, keep=True):
+        if not self._holds(estimator, frames1, frames2):
+            self._kept = None  # its tape, before the forward builds one
+            self._kept = (estimator, frames1, frames2,
+                          estimator.value_and_vjp(frames1, frames2))
+        kept = self._kept
+        if not keep:
+            self._kept = None
         return kept[3]
+
+    def take(self, estimator: FlowEstimator, frames1, frames2):
+        """The kept flows if the kept solve is of these frames, else None;
+        the cache is empty afterwards, its tape dropped."""
+        hit = self._holds(estimator, frames1, frames2)
+        kept, self._kept = self._kept, None
+        return kept[3][0] if hit else None
 
 
 def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
@@ -657,18 +670,21 @@ def _perturbation(mode: PerturbMode, d1, d2) -> Perturbation:
 def _attack_result(solves: _SolveCache, estimator, mode: PerturbMode, d1, d2,
                    p1, p2, flow_init: FlowField, target, trace: OptimTrace,
                    box_seen, eps_hat=None, mu=None) -> AttackResult:
-    """Package final fields and frames. The adversarial flow comes from
-    the solve cache, which it leaves empty: the kept solve when the final
-    frames were the last ones solved, else a new one. The result holds
-    copies, never the cache or a VJP, so no tape outlives the attack."""
-    flows = solves.solve(estimator, p1[None], p2[None], keep=False)[0]
+    """Package final fields and frames. The adversarial flow is the solve
+    cache's kept flow when the final frames were the last ones solved,
+    else `estimate_flow`'s, which builds no tape; the cache is left empty,
+    before that solve runs. The result holds copies, never the cache or a
+    VJP, so no tape outlives the attack."""
+    flows = solves.take(estimator, p1[None], p2[None])
+    flow_adv = (estimator.estimate_flow(p1, p2) if flows is None
+                else FlowField(flows[0]))
     pert = _perturbation(mode, d1, d2)
     return AttackResult(
         perturbation=pert,
         frame1_adv=Image(p1),
         frame2_adv=Image(p2),
         flow_init=flow_init,
-        flow_adv=FlowField(flows[0]),
+        flow_adv=flow_adv,
         target=FlowField(target),
         trace=trace,
         l2_norm=joint_l2_norm(pert),

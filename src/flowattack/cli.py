@@ -286,12 +286,14 @@ def _physical_memory() -> int | None:
 
 
 def _check_fits(estimator: FlowEstimator, shape, section: str = "estimator"):
-    """Refuse a run whose Jacobi tape for one pair of frames of `shape`
-    (`FlowEstimator.tape_bytes`, a lower bound on a solve's memory)
+    """Refuse a run whose tape for one pair of frames of `shape`
+    (`FlowEstimator.tape_bytes`, a lower bound on a taped solve's memory)
     exceeds physical memory, as a usage error that names the section's
     `iterations` and the tape size. It runs before the solve, so the
     run fails before it writes anything, where numpy would fail to
-    allocate. Where the memory is not known, nothing is refused."""
+    allocate. Transfer solves keep no tape; the check still refuses a
+    transfer whose `iterations` is that large, which would otherwise
+    sweep for days. Where the memory is not known, nothing is refused."""
     memory = _physical_memory()
     need = estimator.tape_bytes(shape)
     if memory is not None and need > memory:

@@ -9,7 +9,8 @@ level's solve. The iteration count and pyramid depth are fixed at
 construction, so the computation graph is static and the closure that
 `value_and_vjp` returns is the exact adjoint (vector-Jacobian product) of
 that graph, hand-derived and verified against finite differences. Every
-flow comes from that one forward: `estimate_flow` is its flow.
+flow comes from one forward, `_forward`: `value_and_vjp` runs it with a
+tape and `estimate_flow` without one, and both get the same bytes.
 
 Stencil conventions (fixed so the adjoint is unambiguous): spatial
 derivatives are central differences with replicated boundaries, averaged
@@ -38,16 +39,20 @@ pass is one level tape per pyramid level, finest first:
 (ix, iy, it, jacobi tape, warp context). The image derivatives give the
 coefficients' adjoint and, through their shapes, the level shapes; the
 warp context is None where the level does not warp. The Jacobi tape is
-(layout, alpha, P, Q, residuals): the pre-divided solve and the scaled
-residuals r'_k = nsum(w_k) - b / alpha, not the iterates, as one
-(K, 2, L) array; (2K + 3) * M * (N + 1) floats per pair and level,
-`FlowEstimator.tape_bytes` in all. Every buffer dies with its last
-reader. In the forward, a level's coefficient grids die once P, Q and
-b / alpha exist, and a warped frame once its derivatives do. The first
-call of a VJP consumes the tape: the reverse pass takes each level off
-it on arrival, so the finest level's Jacobi tape is gone before that
-level's coefficient, derivative and warp adjoints run. A repeat call
-runs the forward again on the same frames and gets the same bytes.
+(layout, alpha, P, Q, residuals, resweep): the pre-divided solve and the
+scaled residuals r'_k = nsum(w_k) - b / alpha, not the iterates. A level
+whose K residuals fit TAPE_LEVEL_BYTES keeps them all, one (K, 2, L)
+array, (2K + 3) * M * (N + 1) floats per pair; a larger one, a KITTI-size
+grid, is checkpointed into TAPE_SEGMENTS segments (`_jacobi`), and its
+adjoint sweeps each earlier segment again. `FlowEstimator.tape_bytes`
+gives the whole tape's size. Every buffer dies with its last reader. In
+the forward, a level's coefficient grids die once P, Q and b / alpha
+exist, and a warped frame once its derivatives do. The first call of a
+VJP consumes the tape: the reverse pass takes each level off it on
+arrival, so the finest level's Jacobi tape is gone before that level's
+coefficient, derivative and warp adjoints run. A repeat call runs the
+forward again on the same frames and gets the same bytes. A tape-free
+forward keeps no level and only one residual row per sweep.
 
 Batch axis: every primitive and kernel takes leading batch dims, frames
 (..., C, M, N) and flows (..., M, N), and a (C, M, N) pair is the case
@@ -56,11 +61,14 @@ block of the warp's flat indices, and sums over its own channels, so
 every flow and gradient is bitwise that of the pair's own call. A batch
 runs each numpy call once for all its pairs, which saves the per-call
 overhead that dominates the sweeps of small grids. Its tape is the sum
-of its pairs' tapes, residuals (K, B, 2, L) per level.
+of its pairs' tapes, residuals (K, B, 2, L) per level or (s, B, 2, L)
+checkpointed: whether a level is checkpointed depends on one pair's
+grid, not on the batch.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -360,7 +368,55 @@ def _predivide(coeffs, alpha):
     return lay, alpha, p, q, lay.put(b1 / alpha, b2 / alpha)
 
 
-def _jacobi(system, u0, v0, iters):
+# Bytes of one pair's K residuals at one level above which its Jacobi
+# tape is checkpointed. Every 64x64 grid and the coarsest level of a
+# KITTI-size hs-pyr pair (18.8 MB) keep the whole tape; the two finer
+# KITTI levels (74.8 and 298 MB) are checkpointed.
+TAPE_LEVEL_BYTES = 32 * 2 ** 20
+
+# Segments of a checkpointed level's sweeps. A fixed count keeps the tape
+# linear in K, so that a huge K cannot pass the memory refusal and then
+# run for ever, as it could with about sqrt(K) checkpoints.
+TAPE_SEGMENTS = 6
+
+
+def _tape_plan(iters, cells):
+    """(s, c) for a level of K = `iters` sweeps whose residual rows hold
+    `cells` float64 values per pair: s sweeps per segment and c
+    checkpoints. A level whose K rows fit TAPE_LEVEL_BYTES is one segment
+    of K sweeps and no checkpoint, the whole tape; a larger one has
+    segments of s = ceil(K / TAPE_SEGMENTS) sweeps, the last one shorter
+    where s does not divide K, and a checkpoint at the start of every
+    segment but the last, c = ceil(K / s) - 1."""
+    seg = iters if 8 * iters * cells <= TAPE_LEVEL_BYTES else -(-iters // TAPE_SEGMENTS)
+    return seg, -(-iters // seg) - 1
+
+
+def _sweep_plan(lay, buf, w, p, q, b):
+    """Each row block's slices of the arrays a sweep reads and writes,
+    with its own slice of one scratch block."""
+    tmp = np.empty(lay.lead + (2, lay.blocks[0].stop))
+    return [(cells, lay.neighbours(buf, cells), b[..., cells], p[..., cells],
+             q[..., cells], w[..., cells], tmp[..., :cells.stop - cells.start])
+            for cells in lay.blocks]
+
+
+def _sweeps(plan, rows):
+    """One Jacobi sweep per (..., 2, L) row of `rows`, in place on the
+    plan's iterate, leaving that sweep's scaled residual in the row."""
+    for r in rows:
+        behind = None
+        for cells, near, bb, pb, qb, wb, tb in plan:
+            rb = r[..., cells]
+            _nsum(near, out=rb)
+            rb -= bb
+            if behind:
+                _solve(*behind)
+            behind = (pb, qb, rb, wb, tb)
+        _solve(*behind)
+
+
+def _jacobi(system, u0, v0, iters, tape=True):
     """Fixed number of coupled Jacobi sweeps on the Euler-Lagrange system.
 
     Each sweep solves the per-pixel 2x2 system exactly against the
@@ -376,39 +432,64 @@ def _jacobi(system, u0, v0, iters):
     block's last row, which must still hold w_k. Every cell sees the same
     operations in the same order, so any blocking gives the same bytes.
 
-    Returns the final flow plus the tape for the adjoint sweep,
-    (layout, alpha, P, Q, residuals): everything `_jacobi_adj` reads and
-    nothing more. The residuals r'_k = r_k / alpha are one (K, ..., 2, L)
-    array, so the tape holds (2K + 3) * M * (N + 1) floats per grid; no
-    iterate is kept, as the coefficient cotangents are bilinear in the
-    cotangents and residuals.
+    Returns the final flow and, with `tape`, the tape for the adjoint
+    sweep, (layout, alpha, P, Q, residuals, resweep); without it every
+    sweep writes its residual into one reused row and the tape is None.
+    The tape holds what `_jacobi_adj` reads and nothing more: no iterate
+    is kept where the residuals are, as the coefficient cotangents are
+    bilinear in the cotangents and residuals. A whole tape keeps the
+    residuals r'_k as one (K, ..., 2, L) array and resweep None:
+    (2K + 3) * M * (N + 1) floats per grid. A checkpointed one
+    (`_tape_plan`) splits the K sweeps into segments of s sweeps. It keeps
+    the last segment's residuals in an (s, ..., 2, L) buffer, and as
+    resweep b', the iterate at the start of each of the c other segments
+    and the last segment's length: (2s + 2c + 5) * M * (N + 1) floats,
+    29 rows instead of 83 at K = 40. The sweeps and their bytes are the
+    same in all three forms.
     """
     lay, alpha, p, q, b = system
     buf, w = lay.buffer(lay.put(u0, v0))
     w += 0.0  # -0.0 to 0.0, so no neighbour sum is -0.0 (0.0 + a never is)
-    tmp = np.empty(lay.lead + (2, lay.blocks[0].stop))
-    plan = [(cells, lay.neighbours(buf, cells), b[..., cells], p[..., cells],
-             q[..., cells], w[..., cells], tmp[..., :cells.stop - cells.start])
-            for cells in lay.blocks]
-    rs = np.empty((iters,) + b.shape)
-    for r in rs:
-        behind = None
-        for cells, near, bb, pb, qb, wb, tb in plan:
-            rb = r[..., cells]
-            _nsum(near, out=rb)
-            rb -= bb
-            if behind:
-                _solve(*behind)
-            behind = (pb, qb, rb, wb, tb)
-        _solve(*behind)
+    plan = _sweep_plan(lay, buf, w, p, q, b)
+    if not tape:
+        _sweeps(plan, itertools.repeat(np.empty(b.shape), iters))
+        u, v = lay.grids(w)
+        return u, v, None
+    seg, checkpoints = _tape_plan(iters, b.size // math.prod(lay.lead))
+    rs = np.empty((seg,) + b.shape)
+    ws = np.empty((checkpoints,) + b.shape)
+    for w0 in ws:
+        np.copyto(w0, w)
+        _sweeps(plan, rs)
+    last = iters - checkpoints * seg
+    _sweeps(plan, rs[:last])
     u, v = lay.grids(w)
-    return u, v, (lay, alpha, p, q, rs)
+    return u, v, (lay, alpha, p, q, rs, (b, ws, last) if checkpoints else None)
 
 
-def _reverse_steps(lay, p, q, rs, g):
+def _segments(lay, p, q, rs, resweep):
+    """The residuals of a level's sweeps, segment by segment, last first:
+    a whole tape's K rows, or a checkpointed tape's last segment and then
+    each earlier segment swept again from its checkpoint into the same
+    buffer, the forward's operations on the forward's bytes."""
+    if resweep is None:
+        yield rs
+        return
+    b, ws, last = resweep
+    yield rs[:last]
+    buf, w = lay.buffer(0.0)
+    plan = _sweep_plan(lay, buf, w, p, q, b)
+    for w0 in ws[::-1]:
+        np.copyto(w, w0)
+        _sweeps(plan, rs)
+        yield rs
+
+
+def _reverse_steps(lay, p, q, segments, g):
     """The K steps of `_jacobi_adj`, last sweep first, in place on the
-    cotangent g. Returns -sum lambda'_k, S and T as (..., 2, L) spans;
-    the steps' scratch dies with the call."""
+    cotangent g, over the residual segments of `_segments`. Returns
+    -sum lambda'_k, S and T as (..., 2, L) spans; the steps' scratch dies
+    with the call."""
     gbuf, lam = lay.buffer(0.0)
     gb = np.zeros_like(g)
     s = np.zeros_like(g)
@@ -418,20 +499,21 @@ def _reverse_steps(lay, p, q, rs, g):
              g[..., cells], lam[..., cells], gb[..., cells], s[..., cells],
              t[..., cells], tmp[..., :cells.stop - cells.start])
             for cells in lay.blocks]
-    for r in rs[::-1]:
-        behind = None
-        for cells, near, pb, qb, gk, lk, gbk, sk, tk, tb in plan:
-            _solve(pb, qb, gk, lk, tb)
-            gbk -= lk
-            rb = r[..., cells]
-            np.multiply(gk, rb, out=tb)
-            sk += tb
-            np.multiply(gk, _swap(rb), out=tb)
-            tk += tb
-            if behind:
-                _nsum(*behind)
-            behind = (near, gk)
-        _nsum(*behind)
+    for rows in segments:
+        for r in rows[::-1]:
+            behind = None
+            for cells, near, pb, qb, gk, lk, gbk, sk, tk, tb in plan:
+                _solve(pb, qb, gk, lk, tb)
+                gbk -= lk
+                rb = r[..., cells]
+                np.multiply(gk, rb, out=tb)
+                sk += tb
+                np.multiply(gk, _swap(rb), out=tb)
+                tk += tb
+                if behind:
+                    _nsum(*behind)
+                behind = (near, gk)
+            _nsum(*behind)
     return gb, s, t
 
 
@@ -445,10 +527,16 @@ def _jacobi_adj(gu, gv, tape):
     lambda', so each block is summed after the next block's lambda'. b
     enters as b / alpha, so gb is divided by alpha once after the loop.
 
+    A checkpointed tape runs its kept last segment first, then sweeps
+    each earlier segment again from its checkpoint, one forward sweep per
+    sweep of the segment, into the same residual buffer (`_segments`).
+    The steps still run k = K - 1 down to 0, so gb, S and T take their
+    terms in the order a whole tape feeds them, and the bytes are equal.
+
     The coefficient cotangent -sum_k lambda_k w_{k+1}^T, with
     M = [[Pu, -Q], [-Q, Pv]] = alpha A^-1, is -M (sum_k g_k r'_k^T) M /
     alpha. It needs only S = sum g_k * r'_k and T = sum g_k * swap(r'_k),
-    so no iterate is recomputed; with t = T_u + T_v,
+    so no iterate is needed beyond the residuals; with t = T_u + T_v,
 
         ga11 = -(Pu^2 S_u + Q^2 S_v - Q Pu t) / alpha
         ga22 = -(Pv^2 S_v + Q^2 S_u - Q Pv t) / alpha
@@ -457,10 +545,10 @@ def _jacobi_adj(gu, gv, tape):
     formed once after the loop, on the grids only. P = Q = 0 on guard
     cells, so nothing flows back from their finite cotangents.
     """
-    lay, alpha, p, q, rs = tape
+    lay, alpha, p, q, rs, resweep = tape
     g = lay.put(gu, gv)
     g += 0.0  # as in `_jacobi`
-    gb, s, t = _reverse_steps(lay, p, q, rs, g)
+    gb, s, t = _reverse_steps(lay, p, q, _segments(lay, p, q, rs, resweep), g)
     gb /= alpha
     (pu, pv), (qq,) = lay.grids(p), lay.grids(q)
     (s1, s2), (t1, t2) = lay.grids(s), lay.grids(t)
@@ -521,9 +609,9 @@ class FlowEstimator:
     def __repr__(self):
         return f"FlowEstimator({self.config!r}, label={self.label!r})"
 
-    def _check_pair(self, frame1, frame2):
-        f1 = _as_frame(frame1, batched=True)
-        f2 = _as_frame(frame2, batched=True)
+    def _check_pair(self, frame1, frame2, batched=True):
+        f1 = _as_frame(frame1, batched)
+        f2 = _as_frame(frame2, batched)
         if f1.shape != f2.shape:
             raise ShapeError(f"frame shapes differ: {f1.shape} vs {f2.shape}")
         m, n = f1.shape[-2:]
@@ -533,14 +621,27 @@ class FlowEstimator:
                 f"{m}x{n} image too small for {self.config.pyramid_levels} pyramid levels")
         return f1, f2
 
-    def _forward(self, f1, f2):
-        """Coarse to fine; returns the flow and the level tapes, finest first.
+    def _solve(self, f1, f2, tape):
+        """`_forward` under raising floating-point errors, whose message
+        names the estimator."""
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                return self._forward(f1, f2, tape)
+        except FloatingPointError as exc:
+            raise FloatingPointError(f"estimator {self.label!r} (alpha = "
+                                     f"{self.config.alpha!r}): {exc}") from None
+
+    def _forward(self, f1, f2, tape):
+        """Coarse to fine; returns the flow and, with `tape`, the level
+        tapes, finest first, else None.
 
         The frames are (..., C, M, N) and the flow (..., M, N). With
         `warp` a level solves for an increment from zero, after warping
         the second frame by the upsampled flow (the coarsest level's zero
         flow would warp by the identity, so it skips that); without it a
-        level solves for the flow from the upsampled start.
+        level solves for the flow from the upsampled start. Without
+        `tape` no level is kept: its derivatives and warp context die once
+        its coefficients exist, and its sweeps keep no residual.
         """
         cfg = self.config
         pyr1 = [f1]
@@ -550,10 +651,10 @@ class FlowEstimator:
             pyr2.append(_down2(pyr2[-1]))
         levels = []
         u = v = np.zeros(f1.shape[:-3] + pyr1[-1].shape[-2:])
-        for i1, i2 in zip(pyr1[::-1], pyr2[::-1]):
+        for k, (i1, i2) in enumerate(zip(pyr1[::-1], pyr2[::-1])):
             m, n = i1.shape[-2:]
             wctx = None
-            if levels:
+            if k:
                 u = 2.0 * _up2(u, m, n)
                 v = 2.0 * _up2(v, m, n)
                 if cfg.warp:
@@ -562,11 +663,15 @@ class FlowEstimator:
             del i2  # a warped frame dies with its derivatives
             start = (np.zeros(u.shape),) * 2 if cfg.warp else (u, v)
             # the coefficient grids die once their pre-divided form exists
-            su, sv, jtape = _jacobi(_predivide(_coefficients(ix, iy, it), cfg.alpha),
-                                    *start, cfg.iterations)
+            system = _predivide(_coefficients(ix, iy, it), cfg.alpha)
+            if not tape:
+                del ix, iy, it, wctx  # a tape-free level keeps none of them
+            su, sv, jtape = _jacobi(system, *start, cfg.iterations, tape)
+            del system
             u, v = (u + su, v + sv) if cfg.warp else (su, sv)
-            levels.append((ix, iy, it, jtape, wctx))
-        return u, v, levels[::-1]
+            if tape:
+                levels.append((ix, iy, it, jtape, wctx))
+        return u, v, levels[::-1] if tape else None
 
     def _backward(self, gu, gv, levels):
         """The input gradients from the flow cotangent (gu, gv). Consumes
@@ -601,8 +706,11 @@ class FlowEstimator:
         return grads[0]
 
     def estimate_flow(self, frame1, frame2) -> FlowField:
-        """The flow of one (C, M, N) pair: `value_and_vjp`'s flow."""
-        return FlowField(self.value_and_vjp(frame1, frame2)[0])
+        """The flow of one (C, M, N) pair: `value_and_vjp`'s flow, bitwise,
+        from a forward that keeps no tape."""
+        f1, f2 = self._check_pair(frame1, frame2, batched=False)
+        u, v, _ = self._solve(f1, f2, tape=False)
+        return FlowField(np.stack([u, v]))
 
     def value_and_vjp(self, frame1, frame2):
         """One forward pass returning the flow and a VJP closure.
@@ -625,15 +733,7 @@ class FlowEstimator:
         if lead == (1,):  # a batch of one runs as the pair: the same numbers,
             f1, f2 = f1[0], f2[0]  # and less overhead in every numpy call
 
-        def forward():
-            try:
-                with np.errstate(over="raise", divide="raise", invalid="raise"):
-                    return self._forward(f1, f2)
-            except FloatingPointError as exc:
-                raise FloatingPointError(f"estimator {self.label!r} (alpha = "
-                                         f"{self.config.alpha!r}): {exc}") from None
-
-        u, v, *tapes = forward()  # the tape, until the first vjp call takes it
+        u, v, *tapes = self._solve(f1, f2, tape=True)  # until the first vjp call takes it
         solved = np.stack([u, v], axis=-3)
         flow = solved.reshape(lead + solved.shape[-3:])
 
@@ -645,24 +745,39 @@ class FlowEstimator:
             try:
                 levels = tapes.pop()  # one call takes the tape, even from two threads
             except IndexError:  # a repeat call solves again
-                levels = forward()[2]
+                levels = self._solve(f1, f2, tape=True)[2]
             grads = self._backward(ct[..., 0, :, :], ct[..., 1, :, :], levels)
             return tuple(g.reshape(lead + g.shape[-3:]) for g in grads)
 
         return flow, vjp
 
     def tape_bytes(self, shape, batch: int = 1) -> int:
-        """Bytes of the Jacobi tapes that one forward keeps for its VJP,
-        for `batch` pairs of frames whose last two dims `shape` gives:
-        (2K + 3) * M * (N + 1) float64 values per pair and pyramid level,
-        P, Q and the K residuals in the guarded layout. Known before any
-        solve, and the largest term of a forward plus VJP's memory."""
+        """Bytes of the tape that one forward keeps for its VJP, for
+        `batch` pairs of frames whose last three dims `shape` gives (two
+        dims are one channel): every array `_forward` allocates and keeps.
+        Per pair and level of a C-channel M x N grid, with L = M * (N + 1)
+        and K sweeps, that is in 8-byte values
+        - the derivatives ix, iy, it: 3 * C * M * N;
+        - the Jacobi tape: (2K + 3) * L whole, or (2s + 2c + 5) * L
+          checkpointed into s-sweep segments with c checkpoints;
+        - with warp, below the coarsest level: x0, x1, y0, y1, fx and fy,
+          6 * M * N, and 2 * M * N bytes of in-range masks, beside the
+          unwarped second frame of each level but the finest, whose frame
+          is the caller's.
+        Known before any solve, and the largest term of a forward plus
+        VJP's memory."""
         m, n = shape[-2:]
+        chans = shape[-3] if len(shape) > 2 else 1
+        cfg = self.config
         total = 0
-        for _ in range(self.config.pyramid_levels):
-            total += (2 * self.config.iterations + 3) * m * (n + 1)
+        for lev in range(cfg.pyramid_levels):
+            seg, checkpoints = _tape_plan(cfg.iterations, 2 * m * (n + 1))
+            rows = 2 * seg + 3 + (2 * checkpoints + 2 if checkpoints else 0)
+            total += 8 * (rows * m * (n + 1) + 3 * chans * m * n)
+            if cfg.warp and lev < cfg.pyramid_levels - 1:
+                total += (8 * 6 + 2) * m * n + (8 * chans * m * n if lev else 0)
             m, n = (m + 1) // 2, (n + 1) // 2
-        return 8 * batch * total
+        return batch * total
 
 
 def finite_diff_check(estimator: FlowEstimator, frame1, frame2, loss, h: float,

@@ -713,19 +713,24 @@ def frame_bytes(frame1, frame2) -> bytes:
 
 @pytest.fixture
 def forwards(monkeypatch):
-    """Every estimator forward (each one is a `value_and_vjp` call, an
-    `estimate_flow` one included), recorded as the bytes of the frames it
-    solves (`keys`, in order) and a weak reference to the VJP closure it
-    returns (`vjps`)."""
+    """Every estimator forward (each one is a `value_and_vjp` call or a
+    tape-free `estimate_flow` one), recorded as the bytes of the frames it
+    solves (`keys`, in order), and a weak reference to the VJP closure
+    each `value_and_vjp` call returns (`vjps`)."""
     seen = SimpleNamespace(keys=[], vjps=[])
-    value_and_vjp = FlowEstimator.value_and_vjp
+    value_and_vjp, estimate_flow = FlowEstimator.value_and_vjp, FlowEstimator.estimate_flow
 
     def solve(estimator, frame1, frame2):
         seen.keys.append(frame_bytes(frame1, frame2))
         flow, vjp = value_and_vjp(estimator, frame1, frame2)
         seen.vjps.append(weakref.ref(vjp))
         return flow, vjp
+
+    def flow_only(estimator, frame1, frame2):
+        seen.keys.append(frame_bytes(frame1, frame2))
+        return estimate_flow(estimator, frame1, frame2)
     monkeypatch.setattr(FlowEstimator, "value_and_vjp", solve)
+    monkeypatch.setattr(FlowEstimator, "estimate_flow", flow_only)
     return seen
 
 
@@ -826,19 +831,26 @@ class TestOneSolvePerFrameStack:
 
 @pytest.fixture
 def forward_counts(monkeypatch):
-    """How often the estimator was asked for a solve (`value_and_vjp`) and
-    how often it ran a forward pass (`FlowEstimator._forward`)."""
+    """How often the estimator was asked for a solve (`value_and_vjp` or
+    the tape-free `estimate_flow`) and how often it ran a forward pass
+    (`FlowEstimator._forward`)."""
     counts = SimpleNamespace(solves=0, forwards=0)
-    value_and_vjp, forward = FlowEstimator.value_and_vjp, FlowEstimator._forward
+    value_and_vjp, estimate_flow = FlowEstimator.value_and_vjp, FlowEstimator.estimate_flow
+    forward = FlowEstimator._forward
 
     def solve(estimator, frame1, frame2):
         counts.solves += 1
         return value_and_vjp(estimator, frame1, frame2)
 
-    def run_forward(estimator, frame1, frame2):
+    def flow_only(estimator, frame1, frame2):
+        counts.solves += 1
+        return estimate_flow(estimator, frame1, frame2)
+
+    def run_forward(estimator, frame1, frame2, tape):
         counts.forwards += 1
-        return forward(estimator, frame1, frame2)
+        return forward(estimator, frame1, frame2, tape)
     monkeypatch.setattr(FlowEstimator, "value_and_vjp", solve)
+    monkeypatch.setattr(FlowEstimator, "estimate_flow", flow_only)
     monkeypatch.setattr(FlowEstimator, "_forward", run_forward)
     return counts
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -487,17 +489,20 @@ def _reference_backward(cfg, gu, gv, tape):
     return g1pyr[0], g2pyr[0]
 
 
-def _looped_jacobi(system, u0, v0, iters):
+def _looped_jacobi(system, u0, v0, iters, tape=True):
     """`_reference_jacobi_taped` run pair by pair over a leading batch
-    axis, if there is one; the per-pair tapes go in a list. `system` is
-    the (coefficients, alpha) that `_unreduced` passes on."""
+    axis, if there is one; the per-pair tapes go in a list, which is None
+    without `tape`. `system` is the (coefficients, alpha) that
+    `_unreduced` passes on."""
     coeffs, alpha = system
     if u0.ndim == 2:
-        return _reference_jacobi_taped(coeffs, u0, v0, alpha, iters)
-    runs = [_reference_jacobi_taped([c[k] for c in coeffs], u0[k], v0[k],
-                                    alpha, iters) for k in range(len(u0))]
-    u, v, tapes = zip(*runs)
-    return np.stack(u), np.stack(v), list(tapes)
+        u, v, tapes = _reference_jacobi_taped(coeffs, u0, v0, alpha, iters)
+    else:
+        runs = [_reference_jacobi_taped([c[k] for c in coeffs], u0[k], v0[k],
+                                        alpha, iters) for k in range(len(u0))]
+        u, v, tapes = zip(*runs)
+        u, v, tapes = np.stack(u), np.stack(v), list(tapes)
+    return u, v, tapes if tape else None
 
 
 def _unreduced(coeffs, alpha):
@@ -687,22 +692,7 @@ class TestConsumedTape:
 
     @pytest.mark.parametrize("label", ["hs", "hs-pyr"])
     def test_finest_residuals_die_with_the_call(self, label, monkeypatch):
-        import weakref
-        est = builtin_estimators()[label]
-        f1, f2, _ = make_pair(30, 24, 28, channels=3)
-        residuals = []
-        forward = FlowEstimator._forward
-
-        def taped(self, frame1, frame2):
-            u, v, levels = forward(self, frame1, frame2)
-            residuals.append(weakref.ref(levels[0][3][4]))  # finest level's
-            return u, v, levels
-        monkeypatch.setattr(FlowEstimator, "_forward", taped)
-        flow, vjp = est.value_and_vjp(f1, f2)
-        assert residuals[0]() is not None
-        vjp(np.ones(flow.shape))
-        assert residuals[0]() is None
-        assert len(residuals) == 1  # the first call ran no forward
+        _finest_tape_dies(monkeypatch, label, checkpointed=False)
 
     @pytest.mark.parametrize("label", ["hs", "hs-pyr"])
     @pytest.mark.parametrize("batch", [None, 3])
@@ -721,13 +711,14 @@ class TestConsumedTape:
         # a repeat call with another cotangent is a fresh solve's VJP of it
         assert _same_bytes(vjp(-ct), est.value_and_vjp(f1, f2)[1](-ct))
 
-    @pytest.mark.parametrize("m,n,batch",
-                             [(94, 311, None), (188, 621, None), (64, 64, 4)])
+    @pytest.mark.parametrize("m,n,batch", [
+        (94, 311, None), (188, 621, None), (64, 64, 4),
+        pytest.param(375, 1242, None, marks=pytest.mark.slow)])
     def test_tape_bytes_bounds_the_traced_peak(self, m, n, batch):
         """The traced peak of one `hs-pyr` RGB forward plus VJP lies
-        between `tape_bytes` and 1.4 times it. It measured 1.325-1.333
-        times it on these three grids, and 1.325 at 375x1242 (513.7 of
-        387.8 MiB), with the frames allocated before tracing starts."""
+        between `tape_bytes` and 1.4 times it, with the frames allocated
+        before tracing starts: 1.24 times it at 375x1242 (273.5 of 220.0
+        MiB), where the two finer levels are checkpointed."""
         import tracemalloc
         est = builtin_estimators()["hs-pyr"]
         pairs = [make_pair(33 + k, m, n, channels=3) for k in range(batch or 1)]
@@ -746,6 +737,123 @@ class TestConsumedTape:
             tracemalloc.stop()
         tape = est.tape_bytes(f1.shape, batch or 1)
         assert tape < peak < 1.4 * tape
+
+
+def _frames(seed, m, n, batch):
+    """RGB frame stacks of `batch` synthetic pairs, or one pair's frames."""
+    pairs = [make_pair(seed + k, m, n, channels=3) for k in range(batch or 1)]
+    f1 = np.stack([p[0].data for p in pairs])
+    f2 = np.stack([p[1].data for p in pairs])
+    return (f1, f2) if batch else (f1[0], f2[0])
+
+
+def _solved(est, f1, f2, ct):
+    """The flow and a first and a repeat VJP call's gradients."""
+    flow, vjp = est.value_and_vjp(f1, f2)
+    return (flow,) + vjp(ct) + vjp(ct)
+
+
+def _traced_peak(fn):
+    """Peak traced allocation, in bytes, while `fn()` runs."""
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestCheckpointedTape:
+    """A level whose K residuals exceed TAPE_LEVEL_BYTES keeps segment
+    checkpoints and one segment's residuals, and its adjoint sweeps each
+    earlier segment again: flows and gradients are bitwise those of the
+    whole tape. TAPE_LEVEL_BYTES = 0 checkpoints every level of K > 1."""
+
+    @pytest.mark.parametrize("label", ["hs", "hs-pyr"])
+    @pytest.mark.parametrize("iters", [1, 5, 6, 7, 40, 60])
+    @pytest.mark.parametrize("batch", [None, 3])
+    def test_matches_whole_tape(self, monkeypatch, label, iters, batch):
+        config = builtin_estimators()[label].config
+        est = FlowEstimator(EstimatorConfig(config.alpha, iters, config.pyramid_levels,
+                                            config.warp))
+        f1, f2 = _frames(34, 24, 28, batch)
+        ct = np.random.default_rng(35).normal(size=f1.shape[:-3] + (2, 24, 28))
+        whole = _solved(est, f1, f2, ct)
+        monkeypatch.setattr(df, "TAPE_LEVEL_BYTES", 0)
+        levels = est._forward(f1, f2, tape=True)[2]
+        assert all((level[3][5] is None) == (iters == 1) for level in levels)
+        assert _same_bytes(_solved(est, f1, f2, ct), whole)
+
+    @pytest.mark.parametrize("label", ["hs", "hs-pyr"])
+    @pytest.mark.parametrize("batch", [None, 3])
+    def test_tape_bytes(self, monkeypatch, label, batch):
+        """60 sweeps run in 6 segments of 10, 40 in 5 of 7 and one of 5:
+        one segment's residuals, b / alpha and 5 checkpoints."""
+        monkeypatch.setattr(df, "TAPE_LEVEL_BYTES", 0)
+        seg = {"hs": 10, "hs-pyr": 7}[label]
+        _tape_bytes_held(builtin_estimators()[label], batch, 2 * seg + 3 + 2 * 5 + 2)
+
+    @pytest.mark.parametrize("label", ["hs", "hs-pyr"])
+    def test_finest_tape_dies_with_the_call(self, monkeypatch, label):
+        monkeypatch.setattr(df, "TAPE_LEVEL_BYTES", 0)
+        _finest_tape_dies(monkeypatch, label, checkpointed=True)
+
+    @pytest.mark.parametrize("label", ["hs", "hs-pyr"])
+    def test_finite_difference_gate(self, monkeypatch, label):
+        monkeypatch.setattr(df, "TAPE_LEVEL_BYTES", 0)
+        est = builtin_estimators()[label]
+        target = np.random.default_rng(9).normal(0, 1.0, (2, 16, 16))
+        f1, f2, _ = make_pair(17, 16, 16)
+        err = finite_diff_check(
+            est, f1, f2, lambda fl: loss_with_grad(LossKind.AEE, fl, target), h=1e-5)
+        assert err < 1e-4
+
+    @pytest.mark.slow
+    def test_kitti_size(self, monkeypatch):
+        """The two finer levels of a 375x1242 RGB `hs-pyr` pair are
+        checkpointed, and give the whole tape's bytes."""
+        est = builtin_estimators()["hs-pyr"]
+        f1, f2 = _frames(3, 375, 1242, None)
+        ct = np.ones((2, 375, 1242))
+        levels = est._forward(f1, f2, tape=True)[2]
+        assert [level[3][5] is not None for level in levels] == [True, True, False]
+        del levels
+        checkpointed = _solved(est, f1, f2, ct)
+        monkeypatch.setattr(df, "TAPE_LEVEL_BYTES", math.inf)
+        assert _same_bytes(_solved(est, f1, f2, ct), checkpointed)
+
+
+class TestTapeFreeForward:
+    """The forward without a tape, `estimate_flow`'s, keeps no level and
+    one residual row per sweep, and gives the taped forward's flow."""
+
+    @pytest.mark.parametrize("config", [
+        builtin_estimators()["hs"].config,
+        builtin_estimators()["hs-pyr"].config,
+        EstimatorConfig(alpha=0.03, iterations=9, pyramid_levels=2, warp=False),
+        EstimatorConfig(alpha=0.05, iterations=11, pyramid_levels=1, warp=True),
+    ], ids=["hs", "hs-pyr", "levels2", "warp-levels1"])
+    @pytest.mark.parametrize("batch", [None, 3])
+    def test_flow_bytes(self, config, batch):
+        est = FlowEstimator(config)
+        f1, f2 = _frames(36, 24, 28, batch)
+        flow, _ = est.value_and_vjp(f1, f2)
+        u, v, levels = est._forward(f1, f2, tape=False)
+        assert levels is None
+        assert _same_bytes((np.stack([u, v], axis=-3),), (flow,))
+        for k in range(batch or 1):
+            pair = (f1[k], f2[k]) if batch else (f1, f2)
+            assert _same_bytes((est.estimate_flow(*pair).data,),
+                               (flow[k] if batch else flow,))
+
+    def test_estimate_flow_peaks_under_tape_bytes(self):
+        """At 188x621 RGB an `hs-pyr` `estimate_flow` peaks at 32.0 MiB
+        traced, under the 67.3 MiB of its forward's tape; it peaked at
+        123.4 MiB while it built that tape (then 97.3 MiB of residuals)."""
+        est = builtin_estimators()["hs-pyr"]
+        f1, f2 = _frames(33, 188, 621, None)
+        assert _traced_peak(lambda: est.estimate_flow(f1, f2)) < est.tape_bytes(f1.shape)
 
 
 class TestRowBlocks:
@@ -785,19 +893,60 @@ class TestRowBlocks:
         """Per pair and level, the Jacobi tape's arrays hold P, Q and the K
         residuals: (2K + 3) * M * (N + 1) float64 values."""
         est = builtin_estimators()[label]
-        pairs = [make_pair(26 + k, 23, 29, channels=3) for k in range(batch or 1)]
-        f1 = np.stack([p[0].data for p in pairs])
-        f2 = np.stack([p[1].data for p in pairs])
-        _, _, levels = est._forward(f1, f2) if batch else est._forward(f1[0], f2[0])
-        assert len(levels) == est.config.pyramid_levels
-        k = est.config.iterations
-        total = 0
-        for ix, _, _, jtape, _ in levels:
-            m, n = ix.shape[-2:]
-            held = sum(a.nbytes for a in jtape if isinstance(a, np.ndarray))
-            assert held == (batch or 1) * (2 * k + 3) * m * (n + 1) * 8
-            total += held
-        assert est.tape_bytes(f1.shape, batch or 1) == total
+        _tape_bytes_held(est, batch, 2 * est.config.iterations + 3)
+
+
+def _tape_bytes_held(est, batch, rows):
+    """`est`'s level tapes on 23x29 RGB frames hold exactly `tape_bytes`:
+    the derivatives, the warp contexts less the caller's frame, and per
+    pair and level a Jacobi tape of `rows` rows of M * (N + 1) float64
+    values."""
+    f1, f2 = _frames(26, 23, 29, batch)
+    _, _, levels = est._forward(f1, f2, tape=True)
+    assert len(levels) == est.config.pyramid_levels
+    total = 0
+    for ix, iy, it, jtape, wctx in levels:
+        m, n = ix.shape[-2:]
+        held = sum(a.nbytes for a in _arrays(jtape))
+        assert held == (batch or 1) * rows * m * (n + 1) * 8
+        total += held + sum(a.nbytes for a in _arrays((ix, iy, it, wctx))
+                            if not np.shares_memory(a, f2))
+    assert est.tape_bytes(f1.shape, batch or 1) == total
+
+
+def _finest_tape_dies(monkeypatch, label, checkpointed):
+    """The finest level's residual buffer, and a checkpointed tape's
+    checkpoints with it, die with the VJP's first call, which runs no
+    forward."""
+    import weakref
+    est = builtin_estimators()[label]
+    f1, f2, _ = make_pair(30, 24, 28, channels=3)
+    held = []
+    forward = FlowEstimator._forward
+
+    def taped(self, frame1, frame2, tape):
+        u, v, levels = forward(self, frame1, frame2, tape)
+        _, _, _, _, residuals, resweep = levels[0][3]  # the finest level's
+        assert (resweep is not None) == checkpointed
+        arrays = [residuals, resweep[1]] if checkpointed else [residuals]
+        held.append([weakref.ref(a) for a in arrays])
+        return u, v, levels
+    monkeypatch.setattr(FlowEstimator, "_forward", taped)
+    flow, vjp = est.value_and_vjp(f1, f2)
+    assert len(held[0]) == 1 + checkpointed
+    assert all(ref() is not None for ref in held[0])
+    vjp(np.ones(flow.shape))
+    assert all(ref() is None for ref in held[0])
+    assert len(held) == 1
+
+
+def _arrays(obj):
+    """The arrays in a nest of tuples."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, tuple):
+        for item in obj:
+            yield from _arrays(item)
 
 
 class TestExactDotProducts:
