@@ -33,8 +33,12 @@ class ShapeError(ValueError):
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
+    """`a` as a read-only, C-contiguous float64 array. An array that is
+    one already and owns its memory, a frozen payload or a fresh result
+    its maker froze, is kept as it is; any other array the caller holds,
+    writeable or a view, is copied first."""
     out = np.ascontiguousarray(a, dtype=np.float64)
-    if out is a:
+    if out is a and (a.flags.writeable or not a.flags.owndata):
         out = out.copy()
     out.flags.writeable = False
     return out

@@ -159,31 +159,45 @@ def _warp(img, u, v):
     """Bilinear sample of img at (i + v, j + u), coordinates clamped.
 
     img is (..., C, M, N) and the flow (..., M, N), with the same leading
-    dims. Returns the warped image and the context needed by `_warp_adj`.
+    dims and M, N >= 2. Returns the warped image and the context needed by
+    `_warp_adj`: (img, k, fx, fy, in_x, in_y), with k the flat index of
+    each sample's top-left corner in its (M, N) plane. The corner is
+    clamped to row M - 2 and column N - 2, so the other three corners lie
+    at k + 1, k + N and k + N + 1, and each corner of a channel is one
+    gather from the image's flat view: at k for a pair, offset by each
+    pair's C * M * N block in a batch.
     """
-    m, n = img.shape[-2:]
-    jj, ii = np.meshgrid(np.arange(n, dtype=float), np.arange(m, dtype=float))
-    x = np.clip(jj + u, 0.0, n - 1.0)
-    y = np.clip(ii + v, 0.0, m - 1.0)
-    in_x = (jj + u > 0.0) & (jj + u < n - 1.0)
-    in_y = (ii + v > 0.0) & (ii + v < m - 1.0)
-    x0 = np.minimum(np.floor(x).astype(np.int64), max(n - 2, 0))
-    y0 = np.minimum(np.floor(y).astype(np.int64), max(m - 2, 0))
-    fx = x - x0
-    fy = y - y0
-    x1 = np.minimum(x0 + 1, n - 1)
-    y1 = np.minimum(y0 + 1, m - 1)
-    # one gather per corner, at each pair's and channel's flat offsets
+    c, m, n = img.shape[-3:]
+    xs = np.arange(n, dtype=float) + u
+    ys = np.arange(m, dtype=float)[:, None] + v
+    in_x = (xs > 0.0) & (xs < n - 1.0)
+    in_y = (ys > 0.0) & (ys < m - 1.0)
+    x = np.clip(xs, 0.0, n - 1.0, out=xs)
+    y = np.clip(ys, 0.0, m - 1.0, out=ys)
+    x0 = np.minimum(np.floor(x).astype(np.int64), n - 2)
+    k = np.minimum(np.floor(y).astype(np.int64), m - 2)
+    fx = np.subtract(x, x0, out=x)
+    fy = np.subtract(y, k, out=y)
+    k *= n
+    k += x0
+    gx = 1.0 - fx
+    gy = 1.0 - fy
     flat = img.reshape(-1)
-    planes = _planes(img.shape)
-    i00, i01, i10, i11 = (flat.take(np.expand_dims(k, -3) + planes) for k in (
-        y0 * n + x0, y0 * n + x1, y1 * n + x0, y1 * n + x1))
-    cx = np.expand_dims(fx, -3)
-    cy = np.expand_dims(fy, -3)
-    out = ((1 - cy) * ((1 - cx) * i00 + cx * i01)
-           + cy * ((1 - cx) * i10 + cx * i11))
-    ctx = (img, x0, x1, y0, y1, fx, fy, in_x, in_y)
-    return out, ctx
+    kb = k + c * _planes(k.shape) if k.ndim > 2 else k
+    out = np.empty_like(img)
+    for ch in range(c):
+        i00, i01, i10, i11 = (flat[ch * m * n + o:].take(kb) for o in (0, 1, n, n + 1))
+        # (1 - fy) * ((1 - fx) * i00 + fx * i01) + fy * ((1 - fx) * i10 + fx * i11)
+        i00 *= gx
+        i01 *= fx
+        i00 += i01
+        i10 *= gx
+        i11 *= fx
+        i10 += i11
+        i00 *= gy
+        i10 *= fy
+        np.add(i00, i10, out=out[..., ch, :, :])
+    return out, (img, k, fx, fy, in_x, in_y)
 
 
 def _warp_adj(g, ctx):
@@ -196,28 +210,46 @@ def _warp_adj(g, ctx):
     concatenated in that order, so every source pixel accumulates its
     terms in a fixed order. The flow cotangent reduces over the channels
     as it forms them, one channel's gathers at a time, from +0.0 as
-    `np.sum` does.
+    `np.sum` does. The corner indices, 1 - fx, 1 - fy and the weights
+    are formed once for all channels.
     """
-    img, x0, x1, y0, y1, fx, fy, in_x, in_y = ctx
+    img, k, fx, fy, in_x, in_y = ctx
     c, m, n = img.shape[-3:]
-    corners = np.stack([y0 * n + x0, y0 * n + x1, y1 * n + x0, y1 * n + x1])
-    weights = np.stack([(1 - fy) * (1 - fx), (1 - fy) * fx, fy * (1 - fx), fy * fx])
-    pairs = _planes(fx.shape)
-    idx = (corners + pairs).ravel()
+    offsets = (0, 1, n, n + 1)  # corners 00, 01, 10, 11
+    gx = 1.0 - fx
+    gy = 1.0 - fy
+    weights = np.empty((4,) + k.shape)
+    for w, wy, wx in zip(weights, (gy, gy, fy, fy), (gx, fx, gx, fx)):
+        np.multiply(wy, wx, out=w)
+    pairs = _planes(k.shape)
+    idx = np.add.outer(offsets, k + pairs if k.ndim > 2 else k).ravel()
     g_img = np.empty_like(img)
+    terms = np.empty_like(weights)
     for ch in range(c):
+        np.multiply(g[..., ch, :, :], weights, out=terms)
         g_img[..., ch, :, :] = np.bincount(
-            idx, (g[..., ch, :, :] * weights).ravel(),
-            minlength=pairs.size * m * n).reshape(fx.shape)
-    del weights, idx  # the flow part below sets the peak; keep it lean
-    corners += c * pairs  # flat index into each pair's first channel
+            idx, terms.ravel(), minlength=pairs.size * m * n).reshape(k.shape)
+    del weights, idx, terms  # the flow part below sets the peak; keep it lean
     flat = img.reshape(-1)
-    g_u = np.zeros(fx.shape)
-    g_v = np.zeros(fy.shape)
+    kb = k + c * pairs if k.ndim > 2 else k  # flat index into each pair's first channel
+    g_u = np.zeros(k.shape)
+    g_v = np.zeros(k.shape)
     for ch in range(c):
-        i00, i01, i10, i11 = (flat[ch * m * n:].take(k) for k in corners)
-        g_u += g[..., ch, :, :] * ((1 - fy) * (i01 - i00) + fy * (i11 - i10))
-        g_v += g[..., ch, :, :] * ((1 - fx) * (i10 - i00) + fx * (i11 - i01))
+        i00, i01, i10, i11 = (flat[ch * m * n + o:].take(kb) for o in offsets)
+        # g * ((1 - fy) * (i01 - i00) + fy * (i11 - i10)) into g_u, and
+        # g * ((1 - fx) * (i10 - i00) + fx * (i11 - i01)) into g_v
+        ex, tx = i01 - i00, i11 - i10
+        ey, ty = np.subtract(i10, i00, out=i00), np.subtract(i11, i01, out=i11)
+        ex *= gy
+        tx *= fy
+        ex += tx
+        ex *= g[..., ch, :, :]
+        g_u += ex
+        ey *= gx
+        ty *= fx
+        ey += ty
+        ey *= g[..., ch, :, :]
+        g_v += ey
     g_u *= in_x
     g_v *= in_y
     return g_img, g_u, g_v
@@ -385,9 +417,11 @@ def _tape_plan(iters, cells):
     `cells` float64 values per pair: s sweeps per segment and c
     checkpoints. A level whose K rows fit TAPE_LEVEL_BYTES is one segment
     of K sweeps and no checkpoint, the whole tape; a larger one has
-    segments of s = ceil(K / TAPE_SEGMENTS) sweeps, the last one shorter
+    segments of s = ceil(K / TAPE_SEGMENTS) sweeps, the first one shorter
     where s does not divide K, and a checkpoint at the start of every
-    segment but the last, c = ceil(K / s) - 1."""
+    segment but the last, c = ceil(K / s) - 1. The last segment, the one
+    whose residuals the tape keeps, is a full one, so the reverse sweep
+    sweeps K - s sweeps again: 33 at K = 40."""
     seg = iters if 8 * iters * cells <= TAPE_LEVEL_BYTES else -(-iters // TAPE_SEGMENTS)
     return seg, -(-iters // seg) - 1
 
@@ -399,6 +433,15 @@ def _sweep_plan(lay, buf, w, p, q, b):
     return [(cells, lay.neighbours(buf, cells), b[..., cells], p[..., cells],
              q[..., cells], w[..., cells], tmp[..., :cells.stop - cells.start])
             for cells in lay.blocks]
+
+
+def _residual(plan, r):
+    """The scaled residual r' = nsum(w) - b' of the plan's iterate, into
+    the (..., 2, L) row r, without the solve that would update w."""
+    for cells, near, bb, *_ in plan:
+        rb = r[..., cells]
+        _nsum(near, out=rb)
+        rb -= bb
 
 
 def _sweeps(plan, rows):
@@ -440,12 +483,13 @@ def _jacobi(system, u0, v0, iters, tape=True):
     bilinear in the cotangents and residuals. A whole tape keeps the
     residuals r'_k as one (K, ..., 2, L) array and resweep None:
     (2K + 3) * M * (N + 1) floats per grid. A checkpointed one
-    (`_tape_plan`) splits the K sweeps into segments of s sweeps. It keeps
-    the last segment's residuals in an (s, ..., 2, L) buffer, and as
-    resweep b', the iterate at the start of each of the c other segments
-    and the last segment's length: (2s + 2c + 5) * M * (N + 1) floats,
-    29 rows instead of 83 at K = 40. The sweeps and their bytes are the
-    same in all three forms.
+    (`_tape_plan`) splits the K sweeps into segments of s sweeps, the
+    first one shorter where s does not divide K. It keeps the last
+    segment's residuals in an (s, ..., 2, L) buffer, and as resweep b',
+    the iterate at the start of each of the c other segments and the
+    first segment's length: (2s + 2c + 5) * M * (N + 1) floats, 29 rows
+    instead of 83 at K = 40. The sweeps and their bytes are the same in
+    all three forms.
     """
     lay, alpha, p, q, b = system
     buf, w = lay.buffer(lay.put(u0, v0))
@@ -458,31 +502,34 @@ def _jacobi(system, u0, v0, iters, tape=True):
     seg, checkpoints = _tape_plan(iters, b.size // math.prod(lay.lead))
     rs = np.empty((seg,) + b.shape)
     ws = np.empty((checkpoints,) + b.shape)
-    for w0 in ws:
+    first = iters - checkpoints * seg
+    for k, w0 in enumerate(ws):
         np.copyto(w0, w)
-        _sweeps(plan, rs)
-    last = iters - checkpoints * seg
-    _sweeps(plan, rs[:last])
+        _sweeps(plan, rs[:seg if k else first])
+    _sweeps(plan, rs)
     u, v = lay.grids(w)
-    return u, v, (lay, alpha, p, q, rs, (b, ws, last) if checkpoints else None)
+    return u, v, (lay, alpha, p, q, rs, (b, ws, first) if checkpoints else None)
 
 
 def _segments(lay, p, q, rs, resweep):
     """The residuals of a level's sweeps, segment by segment, last first:
     a whole tape's K rows, or a checkpointed tape's last segment and then
     each earlier segment swept again from its checkpoint into the same
-    buffer, the forward's operations on the forward's bytes."""
+    buffer, the forward's operations on the forward's bytes. A segment's
+    last residual is the last row its re-sweep needs, so that sweep
+    forms the residual alone and skips the solve."""
+    yield rs
     if resweep is None:
-        yield rs
         return
-    b, ws, last = resweep
-    yield rs[:last]
+    b, ws, first = resweep
     buf, w = lay.buffer(0.0)
     plan = _sweep_plan(lay, buf, w, p, q, b)
-    for w0 in ws[::-1]:
-        np.copyto(w, w0)
-        _sweeps(plan, rs)
-        yield rs
+    for k in range(len(ws) - 1, -1, -1):
+        rows = rs[:len(rs) if k else first]
+        np.copyto(w, ws[k])
+        _sweeps(plan, rows[:-1])
+        _residual(plan, rows[-1])
+        yield rows
 
 
 def _reverse_steps(lay, p, q, segments, g):
@@ -529,7 +576,8 @@ def _jacobi_adj(gu, gv, tape):
 
     A checkpointed tape runs its kept last segment first, then sweeps
     each earlier segment again from its checkpoint, one forward sweep per
-    sweep of the segment, into the same residual buffer (`_segments`).
+    sweep of the segment, into the same residual buffer (`_segments`);
+    the segment's last sweep forms only its residual.
     The steps still run k = K - 1 down to 0, so gb, S and T take their
     terms in the order a whole tape feeds them, and the bytes are equal.
 
@@ -710,7 +758,9 @@ class FlowEstimator:
         from a forward that keeps no tape."""
         f1, f2 = self._check_pair(frame1, frame2, batched=False)
         u, v, _ = self._solve(f1, f2, tape=False)
-        return FlowField(np.stack([u, v]))
+        flow = np.stack([u, v])
+        flow.flags.writeable = False  # fresh and frozen: FlowField keeps it, uncopied
+        return FlowField(flow)
 
     def value_and_vjp(self, frame1, frame2):
         """One forward pass returning the flow and a VJP closure.
@@ -760,10 +810,10 @@ class FlowEstimator:
         - the derivatives ix, iy, it: 3 * C * M * N;
         - the Jacobi tape: (2K + 3) * L whole, or (2s + 2c + 5) * L
           checkpointed into s-sweep segments with c checkpoints;
-        - with warp, below the coarsest level: x0, x1, y0, y1, fx and fy,
-          6 * M * N, and 2 * M * N bytes of in-range masks, beside the
-          unwarped second frame of each level but the finest, whose frame
-          is the caller's.
+        - with warp, below the coarsest level: the corner index and fx
+          and fy, 3 * M * N, and 2 * M * N bytes of in-range masks, beside
+          the unwarped second frame of each level but the finest, whose
+          frame is the caller's.
         Known before any solve, and the largest term of a forward plus
         VJP's memory."""
         m, n = shape[-2:]
@@ -775,7 +825,7 @@ class FlowEstimator:
             rows = 2 * seg + 3 + (2 * checkpoints + 2 if checkpoints else 0)
             total += 8 * (rows * m * (n + 1) + 3 * chans * m * n)
             if cfg.warp and lev < cfg.pyramid_levels - 1:
-                total += (8 * 6 + 2) * m * n + (8 * chans * m * n if lev else 0)
+                total += (8 * 3 + 2) * m * n + (8 * chans * m * n if lev else 0)
             m, n = (m + 1) // 2, (n + 1) // 2
         return batch * total
 

@@ -29,6 +29,30 @@ class TestContainers:
         with pytest.raises(ValueError):
             img.data[0, 0, 0] = 1.0
 
+    def test_frozen_owner_is_kept_and_caller_arrays_copied(self):
+        """A read-only array that owns its memory, a payload frozen before,
+        becomes the data uncopied; a writeable array or a read-only view
+        is copied, so the caller's array keeps its flag and changing it
+        changes no field."""
+        fresh = np.zeros((2, 3, 4))
+        fresh.flags.writeable = False
+        assert np.shares_memory(FlowField(fresh).data, fresh)
+        field = FlowField(np.ones((2, 3, 4)))
+        assert np.shares_memory(FlowField(field.data).data, field.data)
+        img = Image(np.zeros((1, 2, 2)))
+        assert np.shares_memory(Image(img.data).data, img.data)
+        mine = np.ones((2, 3, 4))
+        kept = FlowField(mine)
+        assert not np.shares_memory(kept.data, mine) and mine.flags.writeable
+        mine[0, 0, 0] = 7.0
+        assert kept.data[0, 0, 0] == 1.0
+        base = np.ones((2, 3, 4))
+        view = base.view()
+        view.flags.writeable = False
+        assert not np.shares_memory(FlowField(view).data, base)
+        with pytest.raises(ValueError):
+            kept.data[0, 0, 0] = 2.0
+
     def test_flow_shape_and_finiteness(self):
         with pytest.raises(ShapeError):
             FlowField(np.zeros((3, 2, 2)))

@@ -384,6 +384,34 @@ def _reference_jacobi_adj_taped(gu, gv, tape):
     return _reference_jacobi_adj(gu, gv, coeffs, tape, alpha, iters)
 
 
+def _reference_warp(img, u, v):
+    """Bilinear warp with one (..., C, M, N) gather index per corner, the
+    kernel before single-index corners; its context is what
+    `_reference_warp_adj` reads."""
+    m, n = img.shape[-2:]
+    jj, ii = np.meshgrid(np.arange(n, dtype=float), np.arange(m, dtype=float))
+    x = np.clip(jj + u, 0.0, n - 1.0)
+    y = np.clip(ii + v, 0.0, m - 1.0)
+    in_x = (jj + u > 0.0) & (jj + u < n - 1.0)
+    in_y = (ii + v > 0.0) & (ii + v < m - 1.0)
+    x0 = np.minimum(np.floor(x).astype(np.int64), max(n - 2, 0))
+    y0 = np.minimum(np.floor(y).astype(np.int64), max(m - 2, 0))
+    fx = x - x0
+    fy = y - y0
+    x1 = np.minimum(x0 + 1, n - 1)
+    y1 = np.minimum(y0 + 1, m - 1)
+    flat = img.reshape(-1)
+    planes = df._planes(img.shape)
+    i00, i01, i10, i11 = (flat.take(np.expand_dims(k, -3) + planes) for k in (
+        y0 * n + x0, y0 * n + x1, y1 * n + x0, y1 * n + x1))
+    cx = np.expand_dims(fx, -3)
+    cy = np.expand_dims(fy, -3)
+    out = ((1 - cy) * ((1 - cx) * i00 + cx * i01)
+           + cy * ((1 - cx) * i10 + cx * i11))
+    ctx = (img, x0, x1, y0, y1, fx, fy, in_x, in_y)
+    return out, ctx
+
+
 def _reference_warp_adj(g, ctx):
     """Warp adjoint scattering with `np.add.at`, the original kernel."""
     img, x0, x1, y0, y1, fx, fy, in_x, in_y = ctx
@@ -430,7 +458,7 @@ def _reference_forward(cfg, f1, f2):
         ncnt = _ncount(m, n)
         if cfg.warp:
             if lev < cfg.pyramid_levels - 1:
-                i2eff, wctx = df._warp(i2, u, v)
+                i2eff, wctx = _reference_warp(i2, u, v)
             else:
                 i2eff, wctx = i2, None
             ix, iy, it = df._derivatives(i1, i2eff)
@@ -594,15 +622,28 @@ class TestKernelOracles:
         gur, gvr, gcr = _reference_jacobi_adj(cu, cv, coeffs, tape_r, 0.05, iters)
         assert _close((gu, gv) + gc, (gur, gvr) + gcr)
 
-    @pytest.mark.parametrize("shape", [(1, 9, 10), (3, 64, 64)])
+    @pytest.mark.parametrize("shape", [(1, 9, 10), (3, 64, 64), (4, 3, 64, 64),
+                                       (2, 7, 2), (3, 2, 9), (2, 11, 13)])
     def test_warp_adjoint_bytes(self, shape):
+        """The warp and its adjoint against the references, byte for byte:
+        one pair, a batch of four, two-column and two-row grids, each with
+        flows that leave the image on every side, some by 40 px. The
+        pair-by-pair reference adjoint runs over the batch."""
         rng = np.random.default_rng(11)
-        c, m, n = shape
+        m, n = shape[-2:]
         img = rng.uniform(0, 1, shape)
-        u, v = rng.uniform(-4.0, 4.0, (2, m, n))
+        u, v = rng.uniform(-4.0, 4.0, (2,) + shape[:-3] + (m, n))
+        u[..., ::3, ::2] *= 10.0
+        v[..., ::2, ::3] *= 10.0
+        u[..., 0, :2] = -0.0  # the sign of zero takes the in-range mask's path
+        jj, ii = np.arange(n), np.arange(m)[:, None]
+        for x, top in ((jj + u, n - 1), (ii + v, m - 1)):
+            assert (x < 0).any() and (x > top).any()
         out, ctx = df._warp(img, u, v)
+        out_r, ctx_r = _reference_warp(img, u, v)
+        assert _same_bytes((out,), (out_r,))
         g = rng.normal(size=out.shape)
-        assert _same_bytes(df._warp_adj(g, ctx), _reference_warp_adj(g, ctx))
+        assert _same_bytes(df._warp_adj(g, ctx), _looped_warp_adj(g, ctx_r))
 
     @pytest.mark.parametrize("label", ["hs", "hs-pyr"])
     @pytest.mark.parametrize("channels", [1, 3])
@@ -622,6 +663,7 @@ class TestKernelOracles:
         monkeypatch.setattr(df, "_predivide", _unreduced)
         monkeypatch.setattr(df, "_jacobi", _looped_jacobi)
         monkeypatch.setattr(df, "_jacobi_adj", _looped_jacobi_adj)
+        monkeypatch.setattr(df, "_warp", _reference_warp)
         monkeypatch.setattr(df, "_warp_adj", _looped_warp_adj)
         for (frame1, frame2, ct), run in zip(inputs, runs):
             flow_r, vjp_r = est.value_and_vjp(frame1, frame2)
@@ -717,7 +759,7 @@ class TestConsumedTape:
     def test_tape_bytes_bounds_the_traced_peak(self, m, n, batch):
         """The traced peak of one `hs-pyr` RGB forward plus VJP lies
         between `tape_bytes` and 1.4 times it, with the frames allocated
-        before tracing starts: 1.24 times it at 375x1242 (273.5 of 220.0
+        before tracing starts: 1.26 times it at 375x1242 (260.2 of 206.7
         MiB), where the two finer levels are checkpointed."""
         import tracemalloc
         est = builtin_estimators()["hs-pyr"]
@@ -788,11 +830,37 @@ class TestCheckpointedTape:
     @pytest.mark.parametrize("label", ["hs", "hs-pyr"])
     @pytest.mark.parametrize("batch", [None, 3])
     def test_tape_bytes(self, monkeypatch, label, batch):
-        """60 sweeps run in 6 segments of 10, 40 in 5 of 7 and one of 5:
-        one segment's residuals, b / alpha and 5 checkpoints."""
+        """60 sweeps run in 6 segments of 10, 40 in one of 5 and then 5 of
+        7: one full segment's residuals, b / alpha and 5 checkpoints."""
         monkeypatch.setattr(df, "TAPE_LEVEL_BYTES", 0)
         seg = {"hs": 10, "hs-pyr": 7}[label]
         _tape_bytes_held(builtin_estimators()[label], batch, 2 * seg + 3 + 2 * 5 + 2)
+
+    @pytest.mark.parametrize("iters,sweeps", [(40, 33), (60, 50), (7, 5), (2, 1)])
+    def test_resweeps(self, monkeypatch, iters, sweeps):
+        """The reverse sweep of a checkpointed level sweeps K - s sweeps
+        again, the short first segment among them, and the last sweep of
+        each of its c segments forms only its residual."""
+        monkeypatch.setattr(df, "TAPE_LEVEL_BYTES", 0)
+        seg, checkpoints = df._tape_plan(iters, 1)
+        est = FlowEstimator(EstimatorConfig(iterations=iters))
+        f1, f2 = _frames(37, 12, 14, None)
+        flow, vjp = est.value_and_vjp(f1, f2)
+        counts = {"solved": 0, "residual only": 0}
+        sweeps_of, residual = df._sweeps, df._residual
+
+        def counted_sweeps(plan, rows):
+            counts["solved"] += len(rows)
+            sweeps_of(plan, rows)
+
+        def counted_residual(plan, r):
+            counts["residual only"] += 1
+            residual(plan, r)
+        monkeypatch.setattr(df, "_sweeps", counted_sweeps)
+        monkeypatch.setattr(df, "_residual", counted_residual)
+        vjp(np.ones(flow.shape))
+        assert iters - seg == sweeps
+        assert counts == {"solved": sweeps - checkpoints, "residual only": checkpoints}
 
     @pytest.mark.parametrize("label", ["hs", "hs-pyr"])
     def test_finest_tape_dies_with_the_call(self, monkeypatch, label):
@@ -847,10 +915,27 @@ class TestTapeFreeForward:
             assert _same_bytes((est.estimate_flow(*pair).data,),
                                (flow[k] if batch else flow,))
 
+    def test_estimate_flow_keeps_its_stack(self, monkeypatch):
+        """`estimate_flow` stacks the flow once, and that fresh array is the
+        field's frozen data: FlowField makes no second copy."""
+        made = []
+
+        def recording(data):
+            made.append(data)
+            return FlowField(data)
+        monkeypatch.setattr(df, "FlowField", recording)
+        f1, f2 = _frames(38, 24, 28, None)
+        flow = builtin_estimators()["hs-pyr"].estimate_flow(f1, f2)
+        assert len(made) == 1 and np.shares_memory(flow.data, made[0])
+        assert not flow.data.flags.writeable
+        with pytest.raises(ValueError):
+            flow.data[0, 0, 0] = 1.0
+
     def test_estimate_flow_peaks_under_tape_bytes(self):
-        """At 188x621 RGB an `hs-pyr` `estimate_flow` peaks at 32.0 MiB
-        traced, under the 67.3 MiB of its forward's tape; it peaked at
-        123.4 MiB while it built that tape (then 97.3 MiB of residuals)."""
+        """At 188x621 RGB an `hs-pyr` `estimate_flow` peaks at 27.3 MiB
+        traced, under the 63.9 MiB of its forward's tape; it peaked at
+        123.4 MiB while it built the whole tape (then 97.3 MiB of
+        residuals)."""
         est = builtin_estimators()["hs-pyr"]
         f1, f2 = _frames(33, 188, 621, None)
         assert _traced_peak(lambda: est.estimate_flow(f1, f2)) < est.tape_bytes(f1.shape)

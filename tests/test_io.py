@@ -134,6 +134,19 @@ class TestKittiFlow:
             flowio.write_kitti_flow(tmp_path / "o.png",
                                     FlowField(np.full((2, 1, 1), 600.0)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_flow_rejected(self, tmp_path, bad):
+        """A NaN turns the range check's min and max into NaN, which passes
+        it; the writer refuses a non-finite flow before that check, as
+        `write_flo` does, and writes no file."""
+        flow = np.zeros((2, 4, 5))
+        flow[0, 1, 2] = bad
+        flow[1, 3, 4] = np.inf
+        path = tmp_path / "nf.png"
+        with pytest.raises(ValueError, match="non-finite"):
+            flowio.write_kitti_flow(path, flow)
+        assert not path.exists()
+
     def test_wrong_depth_rejected(self, tmp_path):
         path = tmp_path / "gray.png"
         flowio.write_image_png(path, np.full((1, 3, 3), 0.5), bit_depth=8)
@@ -193,6 +206,41 @@ class TestPngCodec:
         assert depth == 8
         assert np.array_equal(samples, img)
 
+    @pytest.mark.parametrize("depth", [8, 16])
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("content", ["zero", "top", "noise"])
+    def test_kitti_size_roundtrip_inside_ratio_guard(self, depth, channels, content):
+        """The encoder's filter-0, run-length stream at 375x1242 decodes
+        bit-exactly and stays inside the decoder's deflate-ratio guard;
+        all-zero and all-top images compress furthest."""
+        top = 2 ** depth - 1
+        shape = (375, 1242) + ((3,) if channels == 3 else ())
+        samples = {"zero": np.zeros(shape, np.uint16),
+                   "top": np.full(shape, top, np.uint16),
+                   "noise": np.random.default_rng(28).integers(
+                       0, top + 1, shape).astype(np.uint16)}[content]
+        blob = flowio._png_encode(samples, depth)
+        _assert_inside_ratio_guard(blob)
+        back, back_depth = flowio._png_decode(blob)
+        assert back_depth == depth
+        assert back.dtype == np.uint16 and np.array_equal(back, samples)
+
+    def test_kitti_size_zero_flow_roundtrip(self, tmp_path):
+        path = tmp_path / "zero.png"
+        flowio.write_kitti_flow(path, FlowField.zeros(375, 1242))
+        _assert_inside_ratio_guard(path.read_bytes())
+        back, mask = flowio.read_kitti_flow(path)
+        assert mask.all() and not back.data.any()
+        assert np.signbit(back.data).sum() == 0
+
+    def test_rows_are_filter_none(self):
+        """Every scanline the encoder writes starts with filter byte 0."""
+        samples = np.random.default_rng(29).integers(0, 256, (7, 5, 3))
+        blob = flowio._png_encode(samples, 8)
+        length = struct.unpack(">I", blob[33:37])[0]
+        raw = zlib.decompress(blob[41:41 + length])
+        assert raw[::5 * 3 + 1] == bytes(7)
+
     def test_corrupt_stream_rejected(self, tmp_path):
         path = tmp_path / "corrupt.png"
         flowio.write_image_png(path, np.full((1, 4, 4), 0.5))
@@ -201,6 +249,16 @@ class TestPngCodec:
         path.write_bytes(bytes(raw))
         with pytest.raises(flowio.FormatError):
             flowio.read_image(path)
+
+
+def _assert_inside_ratio_guard(blob):
+    """The IDAT of an encoder-written PNG inflates at most
+    `_DEFLATE_MAX_RATIO` times its size, the decoder's bound."""
+    width, height, depth, color_type = struct.unpack(">IIBB", blob[16:26])
+    length = struct.unpack(">I", blob[33:37])[0]
+    assert blob[37:41] == b"IDAT"
+    stride = width * (3 if color_type == 2 else 1) * depth // 8
+    assert height * (stride + 1) <= flowio._DEFLATE_MAX_RATIO * length
 
 
 class TestPpm:
